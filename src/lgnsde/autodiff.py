@@ -190,21 +190,6 @@ def relu(a):
     return _make(out_data, (a,), _bwd)
 
 
-def identity(a):
-    return a
-
-
-ACTIVATIONS = {"tanh": tanh, "relu": relu, "identity": identity}
-
-
-def elementwise(a, f):
-    """Apply a named activation in {tanh, relu, identity}."""
-    try:
-        return ACTIVATIONS[f](a)
-    except KeyError:
-        raise ValueError(f"unknown activation {f!r}") from None
-
-
 def concat_cols(a, b):
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} | {b.data.shape}")
@@ -371,28 +356,27 @@ class SparseMatrix:
         return np.asarray(self._csr.todense())
 
     def matmul(self, h):
-        """A @ h for a Tensor or plain ndarray (possibly batched ...xNxD)."""
-        if isinstance(h, Tensor):
-            return spmm(self, h)
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape[-2] != self.shape[1]:
-            raise ValueError(f"spmm shape mismatch: {self.shape} x {h.shape}")
-        if h.ndim == 2:
-            return self._csr @ h
-        flat = np.swapaxes(h, 0, -2).reshape(self.shape[1], -1)
-        out = self._csr @ flat
-        return np.swapaxes(out.reshape((self.shape[0],) + h.shape[:-2] + (h.shape[-1],)), 0, -2)
+        """A @ h for a Tensor h; see ``spmm``."""
+        return spmm(self, h)
 
 
 def spmm(adj, h):
-    """Sparse-dense product A @ H; gradient flows through H only."""
-    if h.data.ndim != 2 or h.data.shape[0] != adj.shape[1]:
+    """Sparse-dense product A @ H; gradient flows through H only.
+
+    H may also be a batch of B states stacked node-major, shape (n*B, d):
+    row i*B + b is node i of state b. Its (n, B*d) view carries the batch
+    in the columns, so one sparse product serves every state. The drift's
+    other ops act row by row and need no batch handling of their own.
+    """
+    n = adj.shape[1]
+    if h.data.ndim != 2 or h.data.shape[0] == 0 or h.data.shape[0] % n:
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {h.data.shape}")
-    out_data = adj._csr @ h.data
+    d = h.data.shape[1]
+    out_data = (adj._csr @ h.data.reshape(n, -1)).reshape(-1, d)
 
     def _bwd(g):
         if h.requires_grad:
-            h.accumulate_grad(adj._csr_t @ g)
+            h.accumulate_grad((adj._csr_t @ g.reshape(adj.shape[0], -1)).reshape(-1, d))
 
     return _make(out_data, (h,), _bwd)
 

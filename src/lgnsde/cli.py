@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -67,7 +68,6 @@ class RunConfig:
     # run
     seed: int = 0
     out_dir: str = "runs"
-    workers: int = 1
 
 
 _INT_NONE = {"train_per_class", "ood_class"}
@@ -106,38 +106,45 @@ def parse_config(path):
 
 
 def load_dataset(cfg):
-    if cfg.dataset == "sbm":
-        graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
-                             cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
-                             cfg.sbm_feature_gap, seed=cfg.seed)
-    elif cfg.dataset == "bundle":
-        if not cfg.bundle_path:
-            raise ConfigError("dataset=bundle needs bundle_path")
-        graph = load_bundle(cfg.bundle_path)
-    elif cfg.dataset == "cora_raw":
-        if not (cfg.cora_content and cfg.cora_cites):
-            raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
-        graph = load_cora_raw(cfg.cora_content, cfg.cora_cites)
-    else:
-        raise ConfigError(f"unknown dataset {cfg.dataset!r}")
-    if graph.train_mask is None:
-        spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
-                         val_count=cfg.val_count, test_count=cfg.test_count,
-                         train_frac=cfg.train_frac, val_frac=cfg.val_frac,
-                         ood_class=cfg.ood_class)
-        if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
-            spec.train_per_class = 20
-        graph = make_splits(graph, spec)
-    return graph
+    """The configured graph with its splits; bad inputs are config errors."""
+    try:
+        if cfg.dataset == "sbm":
+            graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
+                                 cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
+                                 cfg.sbm_feature_gap, seed=cfg.seed)
+        elif cfg.dataset == "bundle":
+            if not cfg.bundle_path:
+                raise ConfigError("dataset=bundle needs bundle_path")
+            graph = load_bundle(cfg.bundle_path)
+        elif cfg.dataset == "cora_raw":
+            if not (cfg.cora_content and cfg.cora_cites):
+                raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
+            graph = load_cora_raw(cfg.cora_content, cfg.cora_cites)
+        else:
+            raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+        if graph.train_mask is None:
+            spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
+                             val_count=cfg.val_count, test_count=cfg.test_count,
+                             train_frac=cfg.train_frac, val_frac=cfg.val_frac,
+                             ood_class=cfg.ood_class)
+            if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
+                spec.train_per_class = 20
+            graph = make_splits(graph, spec)
+        return graph
+    except (OSError, ValueError) as e:
+        raise ConfigError(str(e)) from None
 
 
 def build_model(cfg, graph, num_classes=None):
-    return LGNSDEModel(d_in=graph.d_in,
-                       num_classes=num_classes or graph.num_classes,
-                       hidden=cfg.hidden, t1=cfg.t1, steps=cfg.steps,
-                       g=cfg.g, scheme=cfg.scheme, dropout=cfg.dropout,
-                       mc_samples=cfg.mc_samples, prior_mu=cfg.prior_mu,
-                       prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
+    try:
+        return LGNSDEModel(d_in=graph.d_in,
+                           num_classes=num_classes or graph.num_classes,
+                           hidden=cfg.hidden, t1=cfg.t1, steps=cfg.steps,
+                           g=cfg.g, scheme=cfg.scheme, dropout=cfg.dropout,
+                           mc_samples=cfg.mc_samples, prior_mu=cfg.prior_mu,
+                           prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _write_json(path, obj):
@@ -180,7 +187,14 @@ def cmd_eval(cfg, out, checkpoint):
     if not checkpoint or not os.path.exists(checkpoint):
         raise ConfigError(f"missing checkpoint {checkpoint!r}")
     graph = load_dataset(cfg)
-    model = LGNSDEModel.load(checkpoint)
+    try:
+        model = LGNSDEModel.load(checkpoint)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"unreadable checkpoint {checkpoint!r}: {e}") from None
+    if (model.d_in, model.num_classes) != (graph.d_in, graph.num_classes):
+        raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
+                          f"{model.num_classes} classes, the dataset has "
+                          f"{graph.d_in} and {graph.num_classes}")
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     report.to_json(os.path.join(out, "eval.json"))
     print(report.to_json())

@@ -20,38 +20,14 @@ def glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _mm(x, w):
-    """x @ w for a Tensor (w as parameter) or ndarray, possibly batched."""
-    if isinstance(x, Tensor):
-        return ad.matmul(x, w)
-    return x @ w.data
-
-
-def _addb(x, b):
-    if isinstance(x, Tensor):
-        return ad.add(x, b)
-    return x + b.data.reshape(-1)
-
-
-def _tanh(x):
-    return ad.tanh(x) if isinstance(x, Tensor) else np.tanh(x)
-
-
-def _append_time(x, t):
-    """Append t as a constant column (constant channel, no gradient)."""
-    if isinstance(x, Tensor):
-        col = Tensor(np.full((x.data.shape[0], 1), float(t)))
-        return ad.concat_cols(x, col)
-    col = np.full(x.shape[:-1] + (1,), float(t))
-    return np.concatenate([x, col], axis=-1)
-
-
 class LGNSDEModel:
     """Encoder + GCN posterior drift + constant/OU prior + affine decoder."""
 
     def __init__(self, d_in, num_classes, hidden=64, t0=0.0, t1=1.0, steps=16,
                  g=1.0, scheme="srk", dropout=0.2, mc_samples=20,
                  prior_mu=0.0, prior_ou_theta=None, seed=0):
+        if hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {hidden}")
         self.d_in = d_in
         self.num_classes = num_classes
         self.hidden = hidden
@@ -84,21 +60,21 @@ class LGNSDEModel:
         return ad.add(ad.matmul(x, self.W_enc), self.b_enc)
 
     def posterior_drift_fn(self, graph, training=False, rng=None):
-        """Drift closure F(H, t): two propagation rounds with tanh between.
+        """Drift closure F(H, t) = A tanh(A [H, t] W1 + b1) W2 + b2.
 
-        Accepts Tensor states (training/inference on the tape) or plain
-        ndarrays, including a batch of states stacked on a leading axis
-        (used by the Monte-Carlo verification harness).
+        H is an (n, hidden) Tensor, or a batch of states stacked node-major
+        as (n*B, hidden) (see ``autodiff.spmm``). Training, prediction and
+        the verification harness all run this one closure.
         """
         adj = graph.norm_adj
 
         def drift(h, t):
-            z = adj.matmul(_append_time(h, t))
-            z = _tanh(_addb(_mm(z, self.W1), self.b1))
-            if isinstance(z, Tensor):
-                z = ad.dropout(z, self.dropout, training, rng)
+            time_col = Tensor(np.full((h.data.shape[0], 1), float(t)))
+            z = adj.matmul(ad.concat_cols(h, time_col))
+            z = ad.tanh(ad.add(ad.matmul(z, self.W1), self.b1))
+            z = ad.dropout(z, self.dropout, training, rng)
             z = adj.matmul(z)
-            return _addb(_mm(z, self.W2), self.b2)
+            return ad.add(ad.matmul(z, self.W2), self.b2)
 
         return drift
 
@@ -110,14 +86,12 @@ class LGNSDEModel:
         def drift(h, t):
             if theta is not None:
                 return h * (-theta)
-            if isinstance(h, Tensor):
-                return Tensor(np.full(h.data.shape, mu))
-            return np.full(h.shape, mu)
+            return Tensor(np.full(h.data.shape, mu))
 
         return drift
 
     def decode(self, h):
-        return _addb(_mm(h, self.W_dec), self.b_dec)
+        return ad.add(ad.matmul(h, self.W_dec), self.b_dec)
 
     def solve(self, graph, path, training=False, rng=None, h0=None):
         if h0 is None:
@@ -125,13 +99,17 @@ class LGNSDEModel:
         return integrate(h0, self.posterior_drift_fn(graph, training, rng),
                          self.prior_drift_fn(), self.sde_config, path)
 
-    def elbo(self, graph, path, rng=None, training=True):
-        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL."""
+    def _train_nll(self, graph, path, training, rng):
+        """Solve, decode H(t1); mean NLL over train nodes, KL, train count."""
         record = self.solve(graph, path, training=training, rng=rng)
         logits = self.decode(record.states[-1])
-        n_train = int(np.count_nonzero(graph.train_mask))
         nll = ad.masked_cross_entropy(logits, graph.labels, graph.train_mask)
-        return ad.scale(nll, -float(n_train)) - record.kl
+        return nll, record.kl, int(np.count_nonzero(graph.train_mask))
+
+    def elbo(self, graph, path, rng=None, training=True):
+        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL."""
+        nll, kl, n_train = self._train_nll(graph, path, training, rng)
+        return ad.scale(nll, -float(n_train)) - kl
 
     def training_loss(self, graph, path, rng=None, kl_weight=None):
         """Objective minimized during training: summed NLL + weighted KL.
@@ -143,11 +121,8 @@ class LGNSDEModel:
         """
         if kl_weight is None:
             kl_weight = 1.0 / (graph.n * self.hidden)
-        record = self.solve(graph, path, training=True, rng=rng)
-        logits = self.decode(record.states[-1])
-        n_train = int(np.count_nonzero(graph.train_mask))
-        nll = ad.masked_cross_entropy(logits, graph.labels, graph.train_mask)
-        return ad.scale(nll, float(n_train)) + ad.scale(record.kl, kl_weight)
+        nll, kl, n_train = self._train_nll(graph, path, True, rng)
+        return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)
 
     def predict(self, graph, mc_samples=None, master_seed=0, return_samples=False):
         """MC posterior predictive: average softmax over Brownian samples."""
@@ -229,10 +204,6 @@ class GCNBaseline:
     def predict(self, graph):
         with no_grad():
             return ad.softmax_rows(self.forward(graph, training=False)).data
-
-
-def gcn_baseline_forward(graph, model, training=False, rng=None):
-    return model.forward(graph, training=training, rng=rng)
 
 
 def ensemble_predict(models, graph):

@@ -93,14 +93,13 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     """
     if path.steps != config.steps:
         raise ValueError(f"path has {path.steps} steps, config wants {config.steps}")
-    n, d = h0.data.shape if isinstance(h0, Tensor) else np.asarray(h0).shape
+    n, d = h0.data.shape
     if (path.n, path.d) != (n, d):
         raise ValueError(f"path shape ({path.n},{path.d}) != state shape ({n},{d})")
     dt = config.dt
     g = config.g
-    tensor_mode = isinstance(h0, Tensor)
     h = h0
-    kl = Tensor(0.0) if tensor_mode else 0.0
+    kl = Tensor(0.0)
     states = [h]
     times = config.t0 + dt * np.arange(config.steps + 1)
     for j in range(config.steps):
@@ -109,18 +108,12 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
         f_post = posterior_drift(h, t)
         f_prior = prior_drift(h, t)
         v = (f_post - f_prior) * (1.0 / g)
-        if tensor_mode:
-            kl = kl + tensor_sum(v * v) * (0.5 * dt)
-        else:
-            kl = kl + 0.5 * dt * float(np.sum(v * v))
+        kl = kl + tensor_sum(v * v) * (0.5 * dt)
         if config.scheme == "em":
             h = em_step(h, f_post, g, dw, dt)
         else:
             h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
-        data = h.data if isinstance(h, Tensor) else h
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(h.data)):
             raise DivergedError(j)
         states.append(h)
-    if not tensor_mode:
-        kl = Tensor(kl)
     return TrajectoryRecord(states=states, kl=kl, times=times)

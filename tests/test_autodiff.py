@@ -84,15 +84,23 @@ class TestSpmm:
         with pytest.raises(ValueError, match="duplicate"):
             SparseMatrix([0, 0], [1, 1], [1.0, 2.0], (2, 2))
 
-    def test_batched_ndarray(self):
+    def test_batched_stack(self):
+        # seven 4-node states stacked node-major: row 7*i + k is node i of k
         rng = np.random.Generator(np.random.PCG64(0))
         mask = rng.random((4, 4)) < 0.5
         r, c = np.nonzero(mask)
         sp = SparseMatrix(r, c, rng.standard_normal(r.size), (4, 4))
         h = rng.standard_normal((7, 4, 3))
-        out = sp.matmul(h)
+        out = sp.matmul(Tensor(np.swapaxes(h, 0, 1).reshape(28, 3))).data
+        out = np.swapaxes(out.reshape(4, 7, 3), 0, 1)
         for k in range(7):
             assert np.abs(out[k] - sp.to_dense() @ h[k]).max() < 1e-12
+
+    @pytest.mark.parametrize("rows", [3, 6, 0])
+    def test_rows_not_a_multiple_of_n_rejected(self, rows):
+        sp = SparseMatrix(range(4), range(4), np.ones(4), (4, 4))
+        with pytest.raises(ValueError, match="spmm shape mismatch"):
+            ad.spmm(sp, Tensor(np.ones((rows, 2))))
 
 
 class TestElementwise:
@@ -141,11 +149,12 @@ class TestElementwise:
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("op", ["tanh", "relu", "softmax", "log_softmax",
-                                    "concat", "slice"])
+                                    "concat", "slice", "batched"])
     def test_op_gradients(self, seed, op):
         rng = np.random.Generator(np.random.PCG64(seed))
         x = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
         w = rng.standard_normal((4, 3))  # random cotangent via weighted sum
+        params = [x]
         if op == "tanh":
             make = lambda t: ad.tanh(t)
             fval = lambda: np.tanh(x.data)
@@ -162,15 +171,32 @@ class TestElementwise:
             make = lambda t: ad.concat_cols(t, t)
             fval = lambda: np.hstack([x.data, x.data])
             w = np.hstack([w, w[:, ::-1]])
-        else:
+        elif op == "slice":
             make = lambda t: ad.slice_rows(t, [0, 2, 2])
             fval = lambda: x.data[[0, 2, 2]]
             w = w[:3]
+        else:
+            # x is a batch of two 2-node states, stacked node-major, pushed
+            # through concat_cols, spmm, matmul and a bias add
+            r, c = np.nonzero(rng.random((2, 2)) < 0.7)
+            adj = SparseMatrix(r, c, rng.standard_normal(r.size), (2, 2))
+            col = rng.standard_normal((4, 1))
+            wt = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            bias = Tensor(rng.standard_normal(3), requires_grad=True)
+            params += [wt, bias]
+            make = lambda t: ad.add(ad.matmul(
+                ad.spmm(adj, ad.concat_cols(t, Tensor(col))), wt), bias)
+
+            def fval():
+                states = np.hstack([x.data, col]).reshape(2, 2, 4)
+                mixed = np.einsum("ij,jbc->ibc", adj.to_dense(), states)
+                return mixed.reshape(4, 4) @ wt.data + bias.data
         if op == "relu" and np.abs(x.data).min() < 1e-3:
             return  # FD is invalid at the kink
         backward(ad.tensor_sum(ad.mul(make(x), Tensor(w))))
-        g = fd_grad(lambda: float((fval() * w).sum()), x.data)
-        assert rel_err(x.grad, g).max() < 1e-4
+        for p in params:
+            g = fd_grad(lambda: float((fval() * w).sum()), p.data)
+            assert rel_err(p.grad, g).max() < 1e-4
 
 
 class TestBackward:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lgnsde.cli import ConfigError, main, parse_config
+from lgnsde.model import LGNSDEModel
 
 
 TINY = """
@@ -97,6 +98,30 @@ class TestExitCodes:
         path = write_cfg(tmp_path)
         code, _ = run(tmp_path, "eval", "--config", path)
         assert code == 2
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("train", "steps = 0\n", "steps must be >= 1"),
+        ("train", "hidden = -3\n", "hidden must be >= 1"),
+        ("ood", "ood_class = 9\n", "ood_class 9 outside"),
+        ("eval", "", "unreadable checkpoint"),
+        ("eval", "sbm_feature_dim = 5\n", "is for 6 features"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command,
+                                       extra, message):
+        path = write_cfg(tmp_path, extra=extra)
+        argv = [command, "--config", path]
+        if command == "eval":
+            ckpt = tmp_path / "model.npz"
+            if extra:  # a readable checkpoint for 6 features, not 5
+                LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+            else:
+                ckpt.write_text("not an npz archive\n")
+            argv += ["--checkpoint", str(ckpt)]
+        code, _ = run(tmp_path, *argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert message in err[0]
 
 
 class TestGenerate:
@@ -196,7 +221,6 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_zero_lr_keeps_initial_params(self, tmp_path):
-        from lgnsde.model import LGNSDEModel
         path = write_cfg(tmp_path, extra="lr = 0.0\nepochs = 3\npatience = 3\n")
         code, out = run(tmp_path, "train", "--config", path)
         assert code == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lgnsde.model import LGNSDEModel
+from lgnsde.autodiff import Tensor
 from lgnsde.sde import BrownianPath, SDEConfig
 from lgnsde.verify import (LipschitzEstimates, PerturbationSpec,
+                           _batched_drift, _jacobian_norm,
                            elbo_gradient_check, estimate_lipschitz,
                            lemma1_check, lemma2_check, resnet_equivalence,
                            spectral_norm, write_report)
@@ -34,7 +35,6 @@ class LinearDriftModel:
     """Stub exposing just what estimate_lipschitz needs: drift H -> H A."""
 
     def __init__(self, a, n, w_dec):
-        from lgnsde.autodiff import Tensor
         self.a = a
         self.hidden = a.shape[0]
         self.sde_config = SDEConfig(steps=4)
@@ -42,11 +42,29 @@ class LinearDriftModel:
         self._h0 = np.zeros((n, self.hidden))
 
     def posterior_drift_fn(self, graph):
-        return lambda h, t: h @ self.a
+        return lambda h, t: h @ Tensor(self.a)
 
     def encode(self, graph, training=False):
-        from lgnsde.autodiff import Tensor
         return Tensor(self._h0)
+
+
+class TestJacobianNorm:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_matches_column_loop(self, seed):
+        g = make_graph()
+        m = small_model(g, hidden=3, seed=seed)
+        f = m.posterior_drift_fn(g)
+        h = np.random.Generator(np.random.PCG64(seed)).standard_normal(
+            (g.n, m.hidden))
+        t, eps = 0.4, 1e-6
+        base = f(Tensor(h), t).data
+        jac = np.empty((h.size, h.size))
+        for i in range(h.size):
+            pert = h.copy()
+            pert.reshape(-1)[i] += eps
+            jac[:, i] = (f(Tensor(pert), t).data - base).reshape(-1) / eps
+        got = _jacobian_norm(_batched_drift(m, g), h, t, fd_eps=eps)
+        assert got == spectral_norm(jac)  # same arithmetic, same bits
 
 
 class TestEstimateLipschitz:
@@ -64,7 +82,7 @@ class TestEstimateLipschitz:
     def test_constant_drift_zero(self):
         class ConstDrift(LinearDriftModel):
             def posterior_drift_fn(self, graph):
-                return lambda h, t: np.ones(h.shape)
+                return lambda h, t: Tensor(np.ones(h.shape))
 
         m = ConstDrift(np.eye(2), n=3, w_dec=np.eye(2))
         est = estimate_lipschitz(m, graph=None, samples=100, seed=0)
