@@ -8,7 +8,7 @@ from .graphdata import (Graph, SplitSpec, build_graph, load_bundle,
                         ood_view, save_bundle, sbm_generate)
 from .metrics import (EvalReport, aurc, binary_auroc, entropy, entropy_rows,
                       evaluate, micro_auroc, ood_evaluate)
-from .model import GCNBaseline, LGNSDEModel, ensemble_predict
+from .model import LGNSDEModel
 from .sde import (BrownianPath, DivergedError, SDEConfig, TrajectoryRecord,
                   em_step, integrate, srk_step)
 from .train import RunLog, test_report, train_model

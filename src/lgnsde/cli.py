@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,6 +147,17 @@ def build_model(cfg, graph, num_classes=None):
         raise ConfigError(str(e)) from None
 
 
+def run_training(cfg, model, graph, val_ignore=None):
+    """train_model with the configured settings; bad ones are config errors."""
+    try:
+        return train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
+                           lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
+                           val_ignore=val_ignore, kl_weight=cfg.kl_weight,
+                           verbose=True)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
@@ -164,9 +175,7 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = load_dataset(cfg)
     model = build_model(cfg, graph)
-    log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
-                      lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
-                      kl_weight=cfg.kl_weight, verbose=True)
+    log = run_training(cfg, model, graph)
     ckpt = os.path.join(out, "model.npz")
     model.save(ckpt)
     # basename only: keeps runlog.json byte-identical across output dirs
@@ -207,9 +216,7 @@ def cmd_ood(cfg, out):
     graph = load_dataset(cfg)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    log = train_model(model, view, epochs=cfg.epochs, patience=cfg.patience,
-                      lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
-                      val_ignore=is_ood, kl_weight=cfg.kl_weight, verbose=True)
+    log = run_training(cfg, model, view, val_ignore=is_ood)
     ckpt = os.path.join(out, "model_ood.npz")
     model.save(ckpt)
     log.checkpoint_path = os.path.basename(ckpt)

@@ -224,6 +224,8 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
     """
     if nodes_per_class < 1:
         raise ValueError("nodes_per_class must be >= 1")
+    if feature_dim < 1:
+        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError("need 0 <= p_out <= p_in <= 1")
     if feature_gap < 0:

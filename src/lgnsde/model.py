@@ -1,4 +1,4 @@
-"""The latent graph-SDE classifier and the GCN / ensemble baselines.
+"""The latent graph-SDE classifier.
 
 Pipeline: affine node-wise encoder -> latent SDE whose posterior drift is a
 two-layer GCN with time appended as a constant channel -> affine decoder +
@@ -28,6 +28,10 @@ class LGNSDEModel:
                  prior_mu=0.0, prior_ou_theta=None, seed=0):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must be in [0,1), got {dropout}")
+        if mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
         self.d_in = d_in
         self.num_classes = num_classes
         self.hidden = hidden
@@ -176,38 +180,3 @@ class LGNSDEModel:
             for name in cls._param_names:
                 getattr(model, name).data = z[name].astype(np.float64)
         return model
-
-
-# -------------------------------------------------------------- baselines
-
-class GCNBaseline:
-    """Two-layer GCN: A relu(A X W1 + b1) W2 + b2, dropout on input/hidden."""
-
-    def __init__(self, d_in, num_classes, hidden=64, dropout=0.2, seed=0):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.dropout = dropout
-        self.W1 = Tensor(glorot(rng, d_in, hidden), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.W2 = Tensor(glorot(rng, hidden, num_classes), requires_grad=True)
-        self.b2 = Tensor(np.zeros(num_classes), requires_grad=True)
-
-    def parameters(self):
-        return [self.W1, self.b1, self.W2, self.b2]
-
-    def forward(self, graph, training=False, rng=None):
-        adj = graph.norm_adj
-        x = ad.dropout(Tensor(graph.features), self.dropout, training, rng)
-        z = ad.relu(ad.add(ad.matmul(ad.spmm(adj, x), self.W1), self.b1))
-        z = ad.dropout(z, self.dropout, training, rng)
-        return ad.add(ad.matmul(ad.spmm(adj, z), self.W2), self.b2)
-
-    def predict(self, graph):
-        with no_grad():
-            return ad.softmax_rows(self.forward(graph, training=False)).data
-
-
-def ensemble_predict(models, graph):
-    """Average the softmax outputs of the ensemble members."""
-    if not models:
-        raise ValueError("ensemble must be nonempty")
-    return np.mean([m.predict(graph) for m in models], axis=0)

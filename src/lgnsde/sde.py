@@ -5,7 +5,7 @@ on the autodiff tape, so gradients of the accumulated KL and of any
 function of the final state flow back into the drift parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,9 @@ class SDEConfig:
     scheme: str = "srk"   # "em" or "srk"
 
     def __post_init__(self):
+        if not np.isfinite([self.t0, self.t1, self.g]).all():
+            raise ValueError(f"t0, t1 and g must be finite, got "
+                             f"{self.t0}, {self.t1}, {self.g}")
         if self.t1 <= self.t0:
             raise ValueError("t1 must exceed t0")
         if self.steps < 1:
@@ -63,11 +66,11 @@ class BrownianPath:
 class TrajectoryRecord:
     states: list            # H(t_j) for j = 0..L, Tensors
     kl: Tensor              # scalar, on the tape
-    times: np.ndarray = field(default=None)
 
 
 def em_step(h, f, g, dw, dt):
-    """Euler-Maruyama: H + F dt + g dW. Works on Tensors or ndarrays."""
+    """Euler-Maruyama: H + F dt + g dW. Works on Tensors or ndarrays; on
+    ndarray ensembles dW broadcasts over leading axes and F may be 0."""
     return h + f * dt + g * dw
 
 
@@ -101,9 +104,8 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     h = h0
     kl = Tensor(0.0)
     states = [h]
-    times = config.t0 + dt * np.arange(config.steps + 1)
     for j in range(config.steps):
-        t = times[j]
+        t = config.t0 + j * dt
         dw = path.increments[j]
         f_post = posterior_drift(h, t)
         f_prior = prior_drift(h, t)
@@ -116,4 +118,4 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
         if not np.all(np.isfinite(h.data)):
             raise DivergedError(j)
         states.append(h)
-    return TrajectoryRecord(states=states, kl=kl, times=times)
+    return TrajectoryRecord(states=states, kl=kl)

@@ -45,6 +45,10 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
     through SGD. Returns a RunLog; the model ends up holding the
     best-validation (or last-good, on divergence) parameters.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if val_mc < 1:
+        raise ValueError(f"val_mc must be >= 1, got {val_mc}")
     params = model.parameters()
     opt = Adam(params, lr=lr)
     path_seeds = np.random.SeedSequence([seed, 1]).generate_state(epochs)
@@ -63,10 +67,11 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
             opt.zero_grad()
             backward(loss)
             opt.step()
+            val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed,
+                                            val_ignore)
         except DivergedError:
             log.diverged = True
             break
-        val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed, val_ignore)
         log.epochs.append({"epoch": epoch, "train_loss": float(loss.data),
                            "val_acc": val_acc, "val_nll": val_nll})
         if verbose and (epoch % 20 == 0 or epoch == epochs - 1):

@@ -169,8 +169,7 @@ def test_criterion_06_kl_closed_form():
     h0 = Tensor(np.zeros((n, d)))
 
     def const(value):
-        return lambda h, t: Tensor(np.full((n, d), value)) \
-            if isinstance(h, Tensor) else np.full((n, d), value)
+        return lambda h, t: Tensor(np.full((n, d), value))
 
     kl = float(integrate(h0, const(delta), const(0.0), cfg, path).kl.data)
     expect = 0.5 * n * d * (delta / gval) ** 2

@@ -105,6 +105,13 @@ class TestExitCodes:
         ("ood", "ood_class = 9\n", "ood_class 9 outside"),
         ("eval", "", "unreadable checkpoint"),
         ("eval", "sbm_feature_dim = 5\n", "is for 6 features"),
+        ("train", "dropout = 1.5\n", "dropout must be in [0,1)"),
+        ("train", "mc_samples = 0\n", "mc_samples must be >= 1"),
+        ("train", "val_mc = 0\n", "val_mc must be >= 1"),
+        ("train", "epochs = -1\n", "epochs must be >= 0"),
+        ("train", "sbm_feature_dim = 0\n", "feature_dim must be >= 1"),
+        ("train", "t1 = nan\n", "must be finite"),
+        ("train", "g = inf\n", "must be finite"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command,
                                        extra, message):
@@ -178,6 +185,16 @@ class TestTrainEvalOod:
         assert "auroc_ood" in report["ood"]
         assert 0.0 <= report["ood"]["auroc_ood"] <= 1.0
         assert (out / "ood_entropy_hist.csv").exists()
+
+    def test_nan_lr_diverges_cleanly(self, tmp_path, capsys):
+        # Adam writes NaN into the parameters; validation then diverges
+        path = write_cfg(tmp_path, extra="lr = nan\n")
+        code, out = run(tmp_path, "train", "--config", path)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((out / "runlog.json").read_text())["diverged"] is True
+        restored = LGNSDEModel.load(out / "model.npz")
+        assert all(np.isfinite(p.data).all() for p in restored.parameters())
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_cfg(tmp_path)

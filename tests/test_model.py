@@ -4,7 +4,7 @@ import pytest
 import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
 from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
-from lgnsde.model import (GCNBaseline, LGNSDEModel, ensemble_predict)
+from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath
 from lgnsde.verify import _batched_drift
 
@@ -235,35 +235,6 @@ class TestCheckpoint:
             LGNSDEModel.CHECKPOINT_VERSION = old
         with pytest.raises(ValueError, match="version"):
             LGNSDEModel.load(p)
-
-
-class TestBaselines:
-    def test_gcn_zero_weights_uniform(self):
-        g = make_graph()
-        b = GCNBaseline(g.d_in, g.num_classes, hidden=4, dropout=0.0)
-        for p in b.parameters():
-            p.data[:] = 0.0
-        probs = b.predict(g)
-        assert np.abs(probs - 1.0 / g.num_classes).max() < 1e-15
-
-    def test_ensemble_of_identical_models(self):
-        g = make_graph()
-        members = [GCNBaseline(g.d_in, g.num_classes, hidden=4,
-                               dropout=0.0, seed=7) for _ in range(3)]
-        single = members[0].predict(g)
-        assert np.abs(ensemble_predict(members, g) - single).max() < 1e-15
-
-    def test_ensemble_mean_of_members(self):
-        g = make_graph()
-        members = [GCNBaseline(g.d_in, g.num_classes, hidden=4,
-                               dropout=0.0, seed=s) for s in range(3)]
-        expect = np.mean([m.predict(g) for m in members], axis=0)
-        assert np.abs(ensemble_predict(members, g) - expect).max() < 1e-15
-
-    def test_empty_ensemble(self):
-        g = make_graph()
-        with pytest.raises(ValueError):
-            ensemble_predict([], g)
 
 
 class TestTrainingLossWeight:

@@ -144,6 +144,26 @@ class TestLemma1:
         with pytest.raises(ValueError):
             lemma1_check(small_model(g), g, mc=10)
 
+    def test_zero_drift_never_evaluates_drift(self):
+        def raising(h, t):
+            raise AssertionError("zero-drift run evaluated the drift")
+
+        g = make_graph()
+        m = small_model(g, hidden=2)
+        m.posterior_drift_fn = lambda graph, training=False, rng=None: raising
+        out = lemma1_check(m, g, mc=1_000, seed=0, zero_drift=True)
+        assert all(row["diffusion_pass"] for row in out["grid"])
+
+    def test_zero_drift_leaves_parameters_unchanged(self):
+        g = make_graph()
+        m = small_model(g, hidden=3, seed=5)
+        arrays = [p.data for p in m.parameters()]
+        before = [a.tobytes() for a in arrays]
+        lemma1_check(m, g, mc=1_000, seed=0, zero_drift=True)
+        for p, a, data in zip(m.parameters(), arrays, before):
+            assert p.data is a  # never swapped out and restored
+            assert a.tobytes() == data
+
 
 class TestLemma2:
     def test_epsilon_at_time_zero_limit(self):
