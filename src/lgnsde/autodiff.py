@@ -41,17 +41,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
-
-    def item(self):
-        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

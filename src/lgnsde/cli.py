@@ -3,7 +3,8 @@
 Configuration is a plain key=value file ('#' starts a comment); every
 report is a pure function of (config, inputs, master seed), so repeated
 runs emit byte-identical files. Exit codes: 0 success, 1 validation
-failure (e.g. a lemma bound violated), 2 usage or config error.
+failure (a lemma bound violated, divergence), 2 usage or config error;
+`main` maps every error to one of them with a one-line message.
 """
 
 import argparse
@@ -11,15 +12,15 @@ import json
 import os
 import sys
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .graphdata import (SplitSpec, load_bundle, load_cora_raw, make_splits,
                         ood_view, save_bundle, sbm_generate)
-from .metrics import entropy_histogram_csv, entropy_rows, ood_evaluate
+from .metrics import entropy_histogram_csv, entropy_rows, evaluate, ood_evaluate
 from .model import LGNSDEModel
-from .sde import BrownianPath
+from .sde import BrownianPath, DivergedError
 from .train import test_report, train_model
 from .verify import (PerturbationSpec, elbo_gradient_check, estimate_lipschitz,
                      lemma1_check, lemma2_check, resnet_equivalence,
@@ -70,14 +71,11 @@ class RunConfig:
     out_dir: str = "runs"
 
 
-_INT_NONE = {"train_per_class", "ood_class"}
-_FLOAT_NONE = {"train_frac", "val_frac", "prior_ou_theta", "kl_weight"}
-_STR_NONE = {"bundle_path", "cora_content", "cora_cites"}
-
-
 def parse_config(path):
+    """RunConfig from a key = value file. Each value is converted to its
+    field's annotated type; `none` is accepted only where the default is None."""
     cfg = RunConfig()
-    fields = {f: type(getattr(cfg, f)) for f in cfg.__dataclass_fields__}
+    by_name = {f.name: f for f in fields(RunConfig)}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -86,76 +84,65 @@ def parse_config(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in cfg.__dataclass_fields__:
+            if key not in by_name:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if val.lower() == "none":
-                    parsed = None
-                elif key in _INT_NONE:
-                    parsed = int(val)
-                elif key in _FLOAT_NONE:
-                    parsed = float(val)
-                elif key in _STR_NONE:
-                    parsed = val
-                else:
-                    parsed = fields[key](val)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
+            field = by_name[key]
+            if val.lower() == "none" and field.default is None:
+                parsed = None
+            else:
+                try:
+                    parsed = field.type(val)
+                except ValueError as e:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
             setattr(cfg, key, parsed)
     return cfg
 
 
 def load_dataset(cfg):
-    """The configured graph with its splits; bad inputs are config errors."""
-    try:
-        if cfg.dataset == "sbm":
-            graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
-                                 cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
-                                 cfg.sbm_feature_gap, seed=cfg.seed)
-        elif cfg.dataset == "bundle":
-            if not cfg.bundle_path:
-                raise ConfigError("dataset=bundle needs bundle_path")
-            graph = load_bundle(cfg.bundle_path)
-        elif cfg.dataset == "cora_raw":
-            if not (cfg.cora_content and cfg.cora_cites):
-                raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
-            graph = load_cora_raw(cfg.cora_content, cfg.cora_cites)
-        else:
-            raise ConfigError(f"unknown dataset {cfg.dataset!r}")
-        if graph.train_mask is None:
-            spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
-                             val_count=cfg.val_count, test_count=cfg.test_count,
-                             train_frac=cfg.train_frac, val_frac=cfg.val_frac,
-                             ood_class=cfg.ood_class)
-            if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
-                spec.train_per_class = 20
-            graph = make_splits(graph, spec)
-        return graph
-    except (OSError, ValueError) as e:
-        raise ConfigError(str(e)) from None
+    """The configured graph with its splits."""
+    if cfg.dataset == "sbm":
+        graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
+                             cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
+                             cfg.sbm_feature_gap, seed=cfg.seed)
+    elif cfg.dataset == "bundle":
+        if not cfg.bundle_path:
+            raise ConfigError("dataset=bundle needs bundle_path")
+        graph = load_bundle(cfg.bundle_path)
+    elif cfg.dataset == "cora_raw":
+        if not (cfg.cora_content and cfg.cora_cites):
+            raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
+        graph = load_cora_raw(cfg.cora_content, cfg.cora_cites)
+    else:
+        raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+    if graph.train_mask is None:
+        spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
+                         val_count=cfg.val_count, test_count=cfg.test_count,
+                         train_frac=cfg.train_frac, val_frac=cfg.val_frac,
+                         ood_class=cfg.ood_class)
+        if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
+            spec.train_per_class = 20
+        graph = make_splits(graph, spec)
+    return graph
 
 
-def build_model(cfg, graph, num_classes=None):
-    try:
-        return LGNSDEModel(d_in=graph.d_in,
-                           num_classes=num_classes or graph.num_classes,
-                           hidden=cfg.hidden, t1=cfg.t1, steps=cfg.steps,
-                           g=cfg.g, scheme=cfg.scheme, dropout=cfg.dropout,
-                           mc_samples=cfg.mc_samples, prior_mu=cfg.prior_mu,
-                           prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+def build_model(cfg, graph):
+    return LGNSDEModel(d_in=graph.d_in, num_classes=graph.num_classes,
+                       hidden=cfg.hidden, t1=cfg.t1, steps=cfg.steps,
+                       g=cfg.g, scheme=cfg.scheme, dropout=cfg.dropout,
+                       mc_samples=cfg.mc_samples, prior_mu=cfg.prior_mu,
+                       prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
 
 
 def run_training(cfg, model, graph, val_ignore=None):
-    """train_model with the configured settings; bad ones are config errors."""
-    try:
-        return train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
-                           lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
-                           val_ignore=val_ignore, kl_weight=cfg.kl_weight,
-                           verbose=True)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    """train_model with the configured settings; one stderr line if it diverged."""
+    log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
+                      lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
+                      val_ignore=val_ignore, kl_weight=cfg.kl_weight,
+                      verbose=True)
+    if log.diverged:
+        print(f"diverged: training stopped in epoch {len(log.epochs)}, "
+              f"the best parameters were kept", file=sys.stderr)
+    return log
 
 
 def _write_json(path, obj):
@@ -181,7 +168,7 @@ def cmd_train(cfg, out):
     # basename only: keeps runlog.json byte-identical across output dirs
     log.checkpoint_path = os.path.basename(ckpt)
     report, probs = test_report(model, graph, master_seed=cfg.seed)
-    _write_json(os.path.join(out, "runlog.json"), log.to_dict())
+    _write_json(os.path.join(out, "runlog.json"), asdict(log))
     report.to_json(os.path.join(out, "eval.json"))
     ent = entropy_rows(probs[graph.test_mask])
     correct = probs[graph.test_mask].argmax(axis=1) == graph.labels[graph.test_mask]
@@ -204,6 +191,8 @@ def cmd_eval(cfg, out, checkpoint):
         raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
                           f"{model.num_classes} classes, the dataset has "
                           f"{graph.d_in} and {graph.num_classes}")
+    if not all(np.isfinite(p.data).all() for p in model.parameters()):
+        raise DivergedError(f"checkpoint {checkpoint!r} has non-finite parameters")
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     report.to_json(os.path.join(out, "eval.json"))
     print(report.to_json())
@@ -224,17 +213,16 @@ def cmd_ood(cfg, out):
     test = np.asarray(view.test_mask, dtype=bool)
     block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
     in_test = test & ~is_ood
-    from .metrics import evaluate
     report = evaluate(probs, view.labels, in_test)
     report.ood = block
-    _write_json(os.path.join(out, "runlog.json"), log.to_dict())
+    _write_json(os.path.join(out, "runlog.json"), asdict(log))
     report.to_json(os.path.join(out, "ood.json"))
     ent = entropy_rows(probs[test])
     entropy_histogram_csv(os.path.join(out, "ood_entropy_hist.csv"),
                           ent[~is_ood[test]], ent[is_ood[test]],
                           label_a="in", label_b="ood")
     print(report.to_json())
-    return 0
+    return 1 if log.diverged else 0
 
 
 def cmd_verify(cfg, out):
@@ -300,20 +288,19 @@ def main(argv=None):
         return 2
     try:
         cfg = parse_config(args.config)
-    except (OSError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    out = args.out or os.environ.get("LGNSDE_OUT") or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    try:
+        if args.seed is not None:
+            cfg.seed = args.seed
+        out = args.out or os.environ.get("LGNSDE_OUT") or cfg.out_dir
+        os.makedirs(out, exist_ok=True)
         if args.command == "eval":
             return cmd_eval(cfg, out, args.checkpoint)
         return COMMANDS[args.command](cfg, out)
-    except ConfigError as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except DivergedError as e:
+        print(f"diverged: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,9 +30,6 @@ class Graph:
     val_mask: np.ndarray = field(default=None)
     test_mask: np.ndarray = field(default=None)
 
-    def dense_adj(self):
-        return self.norm_adj.to_dense()
-
 
 @dataclass
 class SplitSpec:
@@ -222,6 +219,8 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
     unit-variance noise everywhere; edges are Bernoulli(p_in) within a class
     and Bernoulli(p_out) across classes.
     """
+    if classes < 2:
+        raise ValueError(f"classes must be >= 2, got {classes}")
     if nodes_per_class < 1:
         raise ValueError("nodes_per_class must be >= 1")
     if feature_dim < 1:

@@ -136,12 +136,11 @@ def evaluate(probs, labels, mask=None):
 
 
 def entropy_histogram_csv(path, ent_a, ent_b, bins=30, label_a="correct_or_in",
-                          label_b="incorrect_or_ood", upper=None):
+                          label_b="incorrect_or_ood"):
     """Write paired entropy histograms (bin_left, bin_right, two counts)."""
     ent_a = np.asarray(ent_a, dtype=np.float64)
     ent_b = np.asarray(ent_b, dtype=np.float64)
-    hi = upper if upper is not None else max(ent_a.max(initial=0.0),
-                                             ent_b.max(initial=0.0), 1e-9)
+    hi = max(ent_a.max(initial=0.0), ent_b.max(initial=0.0), 1e-9)
     edges = np.linspace(0.0, hi, bins + 1)
     ca, _ = np.histogram(ent_a, bins=edges)
     cb, _ = np.histogram(ent_b, bins=edges)

@@ -13,11 +13,7 @@ from .autodiff import Tensor, tensor_sum
 
 
 class DivergedError(RuntimeError):
-    """Raised when the state turns non-finite during integration."""
-
-    def __init__(self, step):
-        super().__init__(f"integration diverged at step {step}")
-        self.step = step
+    """Raised when a state or a parameter is non-finite."""
 
 
 @dataclass
@@ -116,6 +112,6 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
         else:
             h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
         if not np.all(np.isfinite(h.data)):
-            raise DivergedError(j)
+            raise DivergedError(f"integration diverged at step {j}")
         states.append(h)
     return TrajectoryRecord(states=states, kl=kl)

@@ -19,11 +19,6 @@ class RunLog:
     diverged: bool = False
     checkpoint_path: str = None
 
-    def to_dict(self):
-        return {"epochs": self.epochs, "best_epoch": self.best_epoch,
-                "best_val_acc": self.best_val_acc, "diverged": self.diverged,
-                "checkpoint_path": self.checkpoint_path}
-
 
 def _val_metrics(model, graph, val_mc, seed, ignore=None):
     probs = model.predict(graph, mc_samples=val_mc, master_seed=seed)
@@ -47,6 +42,8 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if patience < 0:
+        raise ValueError(f"patience must be >= 0, got {patience}")
     if val_mc < 1:
         raise ValueError(f"val_mc must be >= 1, got {val_mc}")
     params = model.parameters()

@@ -112,6 +112,14 @@ class TestExitCodes:
         ("train", "sbm_feature_dim = 0\n", "feature_dim must be >= 1"),
         ("train", "t1 = nan\n", "must be finite"),
         ("train", "g = inf\n", "must be finite"),
+        ("train", "patience = -1\n", "patience must be >= 0"),
+        ("train", "sbm_classes = 1\n", "classes must be >= 2"),
+        # `none` only for keys whose default is None; TINY ends on line 18
+        ("train", "hidden = none\n", "run.cfg:19: bad value for hidden"),
+        ("train", "steps = none\n", "run.cfg:19: bad value for steps"),
+        ("train", "seed = none\n", "run.cfg:19: bad value for seed"),
+        ("train", "epochs = none\n", "run.cfg:19: bad value for epochs"),
+        ("train", "lr = none\n", "run.cfg:19: bad value for lr"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command,
                                        extra, message):
@@ -129,6 +137,25 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        path = write_cfg(tmp_path)
+        (tmp_path / "file").write_text("")
+        code = main(["train", "--config", path, "--out", str(tmp_path / "file" / "out")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_eval_non_finite_checkpoint_diverges(self, tmp_path, capsys):
+        model = LGNSDEModel(d_in=6, num_classes=3, hidden=8)
+        model.W_enc.data[0, 0] = np.inf
+        model.save(tmp_path / "model.npz")
+        code, out = run(tmp_path, "eval", "--config", write_cfg(tmp_path),
+                        "--checkpoint", str(tmp_path / "model.npz"))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("diverged:")
+        assert not (out / "eval.json").exists()
 
 
 class TestGenerate:
@@ -194,6 +221,16 @@ class TestTrainEvalOod:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads((out / "runlog.json").read_text())["diverged"] is True
         restored = LGNSDEModel.load(out / "model.npz")
+        assert all(np.isfinite(p.data).all() for p in restored.parameters())
+
+    def test_ood_nan_lr_diverges_cleanly(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, extra="lr = nan\nood_class = 2\n")
+        code, out = run(tmp_path, "ood", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("diverged:")
+        assert json.loads((out / "runlog.json").read_text())["diverged"] is True
+        restored = LGNSDEModel.load(out / "model_ood.npz")
         assert all(np.isfinite(p.data).all() for p in restored.parameters())
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps lgnsde functions by
+name. Deleting or renaming one of them must fail this suite, not only the
+benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import lgnsde
+from lgnsde import autodiff, cli, graphdata, metrics, model, sde, train, verify
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+OWNERS = (lgnsde, autodiff, cli, graphdata, metrics, model, sde, train, verify,
+          autodiff.Adam, autodiff.SparseMatrix, sde.BrownianPath, model.LGNSDEModel)
+
+TINY = """
+sbm_classes = 3
+sbm_nodes_per_class = 5
+sbm_feature_dim = 4
+train_frac = 0.4
+val_frac = 0.3
+hidden = 4
+steps = 2
+mc_samples = 2
+val_mc = 1
+epochs = 1
+"""
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.Recorder()
+
+
+def test_tracer_installs_records_and_restores(tmp_path):
+    before = [dict(vars(owner)) for owner in OWNERS]
+    recorder = _recorder()
+    try:
+        recorder.install()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        recorder.uninstall()
+    names = {span[0] for span in recorder.spans}
+    for name in ("cli.load_dataset", "cli.reports", "graphdata.sbm_generate",
+                 "train.forward", "train.validate", "model.drift", "sde.integrate",
+                 "autodiff.backward", "autodiff.adam", "autodiff.spmm"):
+        assert name in names
+    for owner, attrs in zip(OWNERS, before):
+        for attr, value in attrs.items():
+            assert vars(owner)[attr] is value, (owner, attr)
