@@ -45,8 +45,6 @@ for row in out2["grid"][::2]:
 print("overall:", "PASS" if out2["pass"] else "FAIL")
 
 print("\n== EM solve == explicit residual network ==")
-em = LGNSDEModel(graph.d_in, graph.num_classes, hidden=3, steps=16,
-                 scheme="em", dropout=0.0, seed=seed)
 path = BrownianPath(seed, 16, graph.n, 3)
-dev = resnet_equivalence(em, graph, path, 16)
+dev = resnet_equivalence(model, graph, path)
 print(f"max abs deviation over 16 layers: {dev:.2e}")

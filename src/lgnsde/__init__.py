@@ -9,8 +9,8 @@ from .graphdata import (Graph, SplitSpec, build_graph, load_bundle,
 from .metrics import (EvalReport, aurc, binary_auroc, entropy, entropy_rows,
                       evaluate, micro_auroc, ood_evaluate)
 from .model import LGNSDEModel
-from .sde import (BrownianPath, DivergedError, SDEConfig, TrajectoryRecord,
-                  em_step, integrate, srk_step)
+from .sde import (BrownianPath, DivergedError, SDEConfig, em_step, integrate,
+                  srk_step)
 from .train import RunLog, test_report, train_model
 from .verify import (LipschitzEstimates, PerturbationSpec,
                      elbo_gradient_check, estimate_lipschitz, lemma1_check,

@@ -212,11 +212,12 @@ def slice_rows(a, idx):
     return _make(out_data, (a,), _bwd)
 
 
-def dropout(a, p, training, rng):
-    """Inverted dropout: scales survivors at train time, identity at eval."""
+def dropout(a, p, rng=None):
+    """Inverted dropout: with an rng (training), zero each entry with
+    probability p and scale survivors by 1/(1-p); without one, identity."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
     out_data = a.data * mask
@@ -391,18 +392,26 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """One update. The moments and the new values are checked before any
+        parameter is written: a non-finite gradient makes a non-finite
+        moment, and then FloatingPointError is raised."""
         for p in self.params:
             if p.grad is None:
                 raise RuntimeError("adam step with a missing gradient")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
+        new = []
         for p, m, v in zip(self.params, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * p.grad
             v *= self.beta2
             v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            new.append(p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps))
+        if not all(np.isfinite(a).all() for a in self.m + self.v + new):
+            raise FloatingPointError(f"non-finite Adam moment or update at step {self.t}")
+        for p, data in zip(self.params, new):
+            p.data = data
 
     def zero_grad(self):
         for p in self.params:

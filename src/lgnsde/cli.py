@@ -233,13 +233,10 @@ def cmd_verify(cfg, out):
     l1z = lemma1_check(model, graph, mc=10_000, seed=cfg.seed + 1, zero_drift=True)
     spec = PerturbationSpec(epsilon=1e-2, trials=50, seed=cfg.seed)
     l2 = lemma2_check(model, graph, spec, lips=lips)
-    em_cfg = model.config_dict()
-    em_cfg.pop("version")
-    em_cfg["scheme"] = "em"
-    em = LGNSDEModel(**em_cfg)
-    path = BrownianPath(cfg.seed, em.sde_config.steps, graph.n, em.hidden,
-                        em.sde_config.t0, em.sde_config.t1)
-    resnet_dev = resnet_equivalence(em, graph, path, em.sde_config.steps)
+    sde_cfg = model.sde_config
+    path = BrownianPath(cfg.seed, sde_cfg.steps, graph.n, model.hidden,
+                        sde_cfg.t0, sde_cfg.t1)
+    resnet_dev = resnet_equivalence(model, graph, path)
     write_report(l1, os.path.join(out, "lemma1.json"), os.path.join(out, "lemma1.csv"))
     write_report(l1z, os.path.join(out, "lemma1_zero_drift.json"),
                  os.path.join(out, "lemma1_zero_drift.csv"))

@@ -152,11 +152,21 @@ def load_bundle(path):
     splits_path = os.path.join(path, "splits.json")
     if os.path.exists(splits_path):
         with open(splits_path) as f:
-            splits = json.load(f)
+            try:
+                splits = json.load(f)
+            except ValueError as e:
+                raise ValueError(f"{splits_path}: {e}") from None
         masks = {}
         for key in ("train", "val", "test"):
+            idx = splits.get(key) if isinstance(splits, dict) else None
+            if not isinstance(idx, list):
+                raise ValueError(f"{splits_path}: no {key!r} list of node indices")
+            for i in idx:
+                if type(i) is not int or not 0 <= i < n:
+                    raise ValueError(f"{splits_path}: {key!r} index {i!r} is not "
+                                     f"a node in 0..{n - 1}")
             m = np.zeros(n, dtype=bool)
-            m[np.asarray(splits[key], dtype=np.int64)] = True
+            m[idx] = True
             masks[key] = m
         graph = replace(graph, train_mask=masks["train"],
                         val_mask=masks["val"], test_mask=masks["test"])

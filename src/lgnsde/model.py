@@ -57,18 +57,20 @@ class LGNSDEModel:
     def parameters(self):
         return [getattr(self, name) for name in self._param_names]
 
-    def encode(self, graph, training=False, rng=None):
-        """H(t0) = dropout(X) W_enc + b_enc; node-wise, no graph mixing."""
-        x = Tensor(graph.features)
-        x = ad.dropout(x, self.dropout, training, rng)
+    def encode(self, graph, rng=None):
+        """H(t0) = dropout(X) W_enc + b_enc; node-wise, no graph mixing.
+
+        Dropout applies only when an rng is passed (training)."""
+        x = ad.dropout(Tensor(graph.features), self.dropout, rng)
         return ad.add(ad.matmul(x, self.W_enc), self.b_enc)
 
-    def posterior_drift_fn(self, graph, training=False, rng=None):
+    def posterior_drift_fn(self, graph, rng=None):
         """Drift closure F(H, t) = A tanh(A [H, t] W1 + b1) W2 + b2.
 
         H is an (n, hidden) Tensor, or a batch of states stacked node-major
         as (n*B, hidden) (see ``autodiff.spmm``). Training, prediction and
-        the verification harness all run this one closure.
+        the verification harness all run this one closure; dropout on the
+        hidden layer applies only when an rng is passed.
         """
         adj = graph.norm_adj
 
@@ -76,48 +78,26 @@ class LGNSDEModel:
             time_col = Tensor(np.full((h.data.shape[0], 1), float(t)))
             z = adj.matmul(ad.concat_cols(h, time_col))
             z = ad.tanh(ad.add(ad.matmul(z, self.W1), self.b1))
-            z = ad.dropout(z, self.dropout, training, rng)
+            z = ad.dropout(z, self.dropout, rng)
             z = adj.matmul(z)
             return ad.add(ad.matmul(z, self.W2), self.b2)
 
         return drift
 
-    def prior_drift_fn(self):
+    def prior_drift(self, h, t):
         """Constant-mu drift, or -theta * H when an OU rate is configured."""
-        mu = self.prior_mu
-        theta = self.prior_ou_theta
-
-        def drift(h, t):
-            if theta is not None:
-                return h * (-theta)
-            return Tensor(np.full(h.data.shape, mu))
-
-        return drift
+        if self.prior_ou_theta is not None:
+            return h * (-self.prior_ou_theta)
+        return Tensor(np.full(h.data.shape, self.prior_mu))
 
     def decode(self, h):
         return ad.add(ad.matmul(h, self.W_dec), self.b_dec)
 
-    def solve(self, graph, path, training=False, rng=None, h0=None):
-        if h0 is None:
-            h0 = self.encode(graph, training=training, rng=rng)
-        return integrate(h0, self.posterior_drift_fn(graph, training, rng),
-                         self.prior_drift_fn(), self.sde_config, path)
-
-    def _train_nll(self, graph, path, training, rng):
-        """Solve, decode H(t1); mean NLL over train nodes, KL, train count."""
-        record = self.solve(graph, path, training=training, rng=rng)
-        logits = self.decode(record.states[-1])
-        nll = ad.masked_cross_entropy(logits, graph.labels, graph.train_mask)
-        return nll, record.kl, int(np.count_nonzero(graph.train_mask))
-
-    def elbo(self, graph, path, rng=None, training=True):
-        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL."""
-        nll, kl, n_train = self._train_nll(graph, path, training, rng)
-        return ad.scale(nll, -float(n_train)) - kl
-
     def training_loss(self, graph, path, rng=None, kl_weight=None):
         """Objective minimized during training: summed NLL + weighted KL.
 
+        The NLL sums over the train nodes at H(t1). With an rng, dropout is
+        on; without one the objective is deterministic given the path.
         The raw pathwise KL sums over every latent coordinate, which at
         small train-set sizes swamps the likelihood and drives the drift to
         zero; the default weight 1/(n*hidden) charges the KL per latent
@@ -125,8 +105,16 @@ class LGNSDEModel:
         """
         if kl_weight is None:
             kl_weight = 1.0 / (graph.n * self.hidden)
-        nll, kl, n_train = self._train_nll(graph, path, True, rng)
+        h, kl = integrate(self.encode(graph, rng), self.posterior_drift_fn(graph, rng),
+                          self.prior_drift, self.sde_config, path)
+        nll = ad.masked_cross_entropy(self.decode(h), graph.labels, graph.train_mask)
+        n_train = int(np.count_nonzero(graph.train_mask))
         return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)
+
+    def elbo(self, graph, path, rng=None):
+        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL;
+        exactly -training_loss with kl_weight = 1."""
+        return -self.training_loss(graph, path, rng, kl_weight=1.0)
 
     def predict(self, graph, mc_samples=None, master_seed=0, return_samples=False):
         """MC posterior predictive: average softmax over Brownian samples."""
@@ -137,13 +125,13 @@ class LGNSDEModel:
         seeds = np.random.SeedSequence(master_seed).generate_state(n_mc)
         samples = []
         with no_grad():
-            h0 = self.encode(graph, training=False)
+            h0 = self.encode(graph)
+            drift = self.posterior_drift_fn(graph)
             for s in seeds:
                 path = BrownianPath(s, cfg.steps, graph.n, self.hidden,
                                     cfg.t0, cfg.t1)
-                record = self.solve(graph, path, training=False, h0=h0)
-                probs = ad.softmax_rows(self.decode(record.states[-1]))
-                samples.append(probs.data)
+                h, _ = integrate(h0, drift, None, cfg, path)
+                samples.append(ad.softmax_rows(self.decode(h)).data)
         stacked = np.stack(samples)
         mean = stacked.mean(axis=0)
         if return_samples:
@@ -170,12 +158,27 @@ class LGNSDEModel:
                 json.dumps(self.config_dict(), sort_keys=True).encode(), dtype=np.uint8),
                 **arrays)
 
+    # JSON types of the config_dict() entries but the version
+    _config_types = dict(d_in=int, num_classes=int, hidden=int, steps=int,
+                         mc_samples=int, seed=int, scheme=str, t0=(int, float),
+                         t1=(int, float), g=(int, float), dropout=(int, float),
+                         prior_mu=(int, float), prior_ou_theta=(int, float, type(None)))
+
     @classmethod
     def load(cls, path):
+        """Rebuild a saved model. A config with a missing, unknown or
+        ill-typed key is a ValueError."""
         with np.load(path) as z:
             cfg = json.loads(bytes(z["config"].tobytes()).decode())
-            if cfg.pop("version") != cls.CHECKPOINT_VERSION:
+            if not isinstance(cfg, dict) or cfg.pop("version", None) != cls.CHECKPOINT_VERSION:
                 raise ValueError("unsupported checkpoint version")
+            types = cls._config_types
+            bad = sorted(cfg.keys() ^ types.keys()) or [
+                k for k, want in types.items()
+                if isinstance(cfg[k], bool) or not isinstance(cfg[k], want)]
+            if bad:
+                raise ValueError(f"checkpoint config has missing, unknown or "
+                                 f"ill-typed keys: {', '.join(bad)}")
             model = cls(**cfg)
             for name in cls._param_names:
                 getattr(model, name).data = z[name].astype(np.float64)

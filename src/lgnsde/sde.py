@@ -58,12 +58,6 @@ class BrownianPath:
                            for _ in range(steps)]
 
 
-@dataclass
-class TrajectoryRecord:
-    states: list            # H(t_j) for j = 0..L, Tensors
-    kl: Tensor              # scalar, on the tape
-
-
 def em_step(h, f, g, dw, dt):
     """Euler-Maruyama: H + F dt + g dW. Works on Tensors or ndarrays; on
     ndarray ensembles dW broadcasts over leading axes and F may be 0."""
@@ -84,11 +78,12 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
 
 
 def integrate(h0, posterior_drift, prior_drift, config, path):
-    """Advance h0 with the posterior drift, accumulating the pathwise KL.
+    """Advance h0 with the posterior drift; return (H(t1), KL).
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
-    posterior drift parameters.
+    posterior drift parameters. With no prior drift (prediction) the KL is
+    not computed and is None.
     """
     if path.steps != config.steps:
         raise ValueError(f"path has {path.steps} steps, config wants {config.steps}")
@@ -98,20 +93,18 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     dt = config.dt
     g = config.g
     h = h0
-    kl = Tensor(0.0)
-    states = [h]
+    kl = None if prior_drift is None else Tensor(0.0)
     for j in range(config.steps):
         t = config.t0 + j * dt
         dw = path.increments[j]
         f_post = posterior_drift(h, t)
-        f_prior = prior_drift(h, t)
-        v = (f_post - f_prior) * (1.0 / g)
-        kl = kl + tensor_sum(v * v) * (0.5 * dt)
+        if kl is not None:
+            v = (f_post - prior_drift(h, t)) * (1.0 / g)
+            kl = kl + tensor_sum(v * v) * (0.5 * dt)
         if config.scheme == "em":
             h = em_step(h, f_post, g, dw, dt)
         else:
             h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
         if not np.all(np.isfinite(h.data)):
             raise DivergedError(f"integration diverged at step {j}")
-        states.append(h)
-    return TrajectoryRecord(states=states, kl=kl)
+    return h, kl

@@ -59,14 +59,19 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
         rng = np.random.Generator(np.random.PCG64(int(drop_seeds[epoch])))
         path = BrownianPath(int(path_seeds[epoch]), cfg.steps, graph.n,
                             model.hidden, cfg.t0, cfg.t1)
+        # an overflow or NaN raises where it is made, and no numpy warning
+        # reaches stderr; Adam checks its moments before writing parameters
         try:
-            loss = model.training_loss(graph, path, rng=rng, kl_weight=kl_weight)
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-            val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed,
-                                            val_ignore)
-        except DivergedError:
+            with np.errstate(all="raise", under="ignore"):
+                loss = model.training_loss(graph, path, rng=rng, kl_weight=kl_weight)
+                if not np.isfinite(loss.data):
+                    raise DivergedError(f"non-finite loss in epoch {epoch}")
+                opt.zero_grad()
+                backward(loss)
+                opt.step()
+                val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed,
+                                                val_ignore)
+        except (DivergedError, FloatingPointError):
             log.diverged = True
             break
         log.epochs.append({"epoch": epoch, "train_loss": float(loss.data),

@@ -13,7 +13,7 @@ the zero-drift control of lemma 1 passes a drift of 0 and never evaluates
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def spectral_norm(mat, tol=1e-10, max_iter=10000):
 
 def _eval_h0(model, graph):
     with no_grad():
-        return model.encode(graph, training=False).data
+        return model.encode(graph).data
 
 
 def _batched_drift(model, graph):
@@ -263,36 +263,21 @@ def lemma2_check(model, graph, spec, lips=None):
 
 # ---------------------------------------------------- ResNet equivalence
 
-def resnet_equivalence(model, graph, path, steps):
-    """Compare the unrolled EM solve against an explicit residual network.
+def resnet_equivalence(model, graph, path):
+    """Compare the model's unrolled EM solve against an explicit residual
+    network, whatever scheme the model was trained with.
 
     Layer j computes H + F(H, t_j) dt + g dW_j with shared drift weights;
     the two computations should agree to floating-point identity.
     """
-    cfg = model.sde_config
-    if cfg.scheme != "em":
-        raise ValueError("ResNet equivalence is defined for the EM scheme")
-    if cfg.steps != steps or path.steps != steps:
-        raise ValueError("config, path and requested depth disagree")
+    cfg = replace(model.sde_config, scheme="em")
     drift = model.posterior_drift_fn(graph)
-    dt = cfg.dt
-
-    def make_layer(j):
-        t_j = cfg.t0 + j * dt
-        dw = path.increments[j]
-
-        def layer(h):
-            return h + drift(h, t_j) * dt + cfg.g * dw
-
-        return layer
-
     with no_grad():
-        h0 = model.encode(graph, training=False)
-        h = h0
-        for layer in (make_layer(j) for j in range(steps)):
-            h = layer(h)
-        record = integrate(h0, drift, model.prior_drift_fn(), cfg, path)
-    return float(np.abs(h.data - record.states[-1].data).max())
+        h = model.encode(graph)
+        h_em, _ = integrate(h, drift, None, cfg, path)
+        for j in range(cfg.steps):
+            h = h + drift(h, cfg.t0 + j * cfg.dt) * cfg.dt + cfg.g * path.increments[j]
+    return float(np.abs(h.data - h_em.data).max())
 
 
 # ------------------------------------------------------- gradient checks
@@ -308,13 +293,13 @@ def elbo_gradient_check(model, graph, path, fd_eps=1e-5, denom_floor=1e-4):
     params = model.parameters()
     for p in params:
         p.grad = None
-    loss = model.elbo(graph, path, training=False)
+    loss = model.elbo(graph, path)
     backward(loss)
     analytic = [p.grad.copy() for p in params]
 
     def eval_elbo():
         with no_grad():
-            return float(model.elbo(graph, path, training=False).data)
+            return float(model.elbo(graph, path).data)
 
     worst = {}
     for p, name, ga in zip(params, model._param_names, analytic):

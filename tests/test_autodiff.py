@@ -134,18 +134,18 @@ class TestElementwise:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.5, False, None) is x
+        assert ad.dropout(x, 0.5) is x
 
     def test_dropout_train_scaling(self):
         rng = np.random.Generator(np.random.PCG64(0))
         x = Tensor(np.ones((200, 50)))
-        out = ad.dropout(x, 0.25, True, rng).data
+        out = ad.dropout(x, 0.25, rng).data
         assert set(np.unique(out.round(10))) == {0.0, round(1 / 0.75, 10)}
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_dropout_bad_p(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor(np.ones(2)), 1.0, True, None)
+            ad.dropout(Tensor(np.ones(2)), 1.0)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("op", ["tanh", "relu", "softmax", "log_softmax",

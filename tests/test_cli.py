@@ -1,11 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lgnsde.cli import ConfigError, main, parse_config
+from lgnsde.graphdata import SplitSpec, make_splits, save_bundle, sbm_generate
 from lgnsde.model import LGNSDEModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 TINY = """
@@ -156,6 +162,71 @@ class TestExitCodes:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("diverged:")
         assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
+                                        {"mc_samples": 2.5}, {"prior_mu": None}],
+                             ids=["unknown", "str-int", "float-int", "null-float"])
+    def test_eval_checkpoint_with_bad_config_key(self, tmp_path, capsys, change):
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        cfg = json.loads(arrays["config"].tobytes())
+        cfg.update(change)
+        arrays["config"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        code, _ = run(tmp_path, "eval", "--config", write_cfg(tmp_path),
+                      "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: unreadable checkpoint {str(ckpt)!r}")
+        assert next(iter(change)) in err[0]
+
+    @pytest.mark.parametrize("key, index, message", [
+        ("train", 999, "'train' index 999 is not a node in 0..17"),
+        ("test", -1, "'test' index -1 is not a node in 0..17"),
+        ("val", None, "no 'val' list of node indices"),
+    ])
+    def test_bad_bundle_splits(self, tmp_path, capsys, key, index, message):
+        graph = sbm_generate(3, 6, 0.3, 0.03, 6, 2.0, seed=0)
+        save_bundle(make_splits(graph, SplitSpec(seed=0, train_frac=0.34,
+                                                 val_frac=0.33)), tmp_path / "b")
+        splits_path = tmp_path / "b" / "splits.json"
+        splits = json.loads(splits_path.read_text())
+        if index is None:
+            del splits[key]
+        else:
+            splits[key].append(index)
+        splits_path.write_text(json.dumps(splits))
+        path = write_cfg(tmp_path, extra=f"dataset = bundle\nbundle_path = {tmp_path / 'b'}\n")
+        code, _ = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"config error: {splits_path}: {message}"]
+
+    @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
+                                       "prior_mu = 1e308\n", "g = 1e200\n"])
+    def test_numeric_blow_up_is_one_diverged_line(self, tmp_path, extra):
+        # a subprocess, so that numpy warnings reach stderr as in a real run
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\n" + extra)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "train",
+                               "--config", path, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1
+        assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
+        assert json.loads((out / "runlog.json").read_text())["diverged"] is True
+        # it diverged in the first epoch, so the best parameters are the initial ones
+        trained = LGNSDEModel.load(out / "model.npz")
+        fresh = LGNSDEModel(**{k: v for k, v in trained.config_dict().items()
+                               if k != "version"})
+        for name in LGNSDEModel._param_names:
+            assert np.array_equal(getattr(trained, name).data,
+                                  getattr(fresh, name).data)
 
 
 class TestGenerate:

@@ -133,16 +133,14 @@ class TestPriorDrift:
     def test_constant(self):
         g = make_graph()
         m = small_model(g, prior_mu=0.25)
-        f = m.prior_drift_fn()
-        out = f(Tensor(np.zeros((g.n, m.hidden))), 0.1)
+        out = m.prior_drift(Tensor(np.zeros((g.n, m.hidden))), 0.1)
         assert np.all(out.data == 0.25)
 
     def test_ou(self):
         g = make_graph()
         m = small_model(g, prior_ou_theta=2.0)
-        f = m.prior_drift_fn()
         h = Tensor(np.full((g.n, m.hidden), 3.0))
-        assert np.all(f(h, 0.0).data == -6.0)
+        assert np.all(m.prior_drift(h, 0.0).data == -6.0)
 
 
 class TestELBOGradients:
@@ -151,7 +149,7 @@ class TestELBOGradients:
         g = make_graph(n=6, d=3, c=2, seed=5)
         m = small_model(g, hidden=2, scheme=scheme, seed=5)
         path = BrownianPath(11, m.sde_config.steps, g.n, m.hidden)
-        loss = ad.scale(m.elbo(g, path, training=False), -1.0)
+        loss = ad.scale(m.elbo(g, path), -1.0)
         backward(loss)
         worst = 0.0
         for p in m.parameters():
@@ -162,8 +160,7 @@ class TestELBOGradients:
                 for d in (1e-5, -1e-5):
                     p.data[idx] = orig + d
                     with ad.no_grad():
-                        vals.append(-float(
-                            m.elbo(g, path, training=False).data))
+                        vals.append(-float(m.elbo(g, path).data))
                 p.data[idx] = orig
                 fd[idx] = (vals[0] - vals[1]) / 2e-5
             rel = np.abs(p.grad - fd) / np.maximum(
@@ -254,5 +251,29 @@ class TestTrainingLossWeight:
         path = BrownianPath(0, m.sde_config.steps, g.n, m.hidden)
         with ad.no_grad():
             loss = float(m.training_loss(g, path, kl_weight=1.0).data)
-            elbo = float(m.elbo(g, path, training=True).data)
-        assert loss == pytest.approx(-elbo, rel=1e-12)
+            elbo = float(m.elbo(g, path).data)
+        assert loss == -elbo  # negation is exact, so this holds bitwise
+
+
+class TestDropoutFollowsRng:
+    def test_without_rng_the_objective_is_deterministic(self):
+        # dropout = 0.2 and no rng: dropout is off, the same as dropout = 0
+        g = make_graph()
+        m = small_model(g, dropout=0.2)
+        off = small_model(g, dropout=0.0)
+        path = BrownianPath(0, m.sde_config.steps, g.n, m.hidden)
+        with ad.no_grad():
+            elbo = float(m.elbo(g, path).data)
+            loss = float(m.training_loss(g, path).data)
+            assert loss == float(off.training_loss(g, path).data)
+        assert np.isfinite(elbo) and np.isfinite(loss)
+
+    def test_rng_turns_dropout_on(self):
+        g = make_graph()
+        m = small_model(g, dropout=0.2)
+        path = BrownianPath(0, m.sde_config.steps, g.n, m.hidden)
+        rng = np.random.Generator(np.random.PCG64(0))
+        with ad.no_grad():
+            a = float(m.training_loss(g, path).data)
+            b = float(m.training_loss(g, path, rng=rng).data)
+        assert np.isfinite(b) and a != b

@@ -118,39 +118,47 @@ class TestIntegrate:
     def test_identical_drifts_zero_kl(self):
         cfg, path, h0 = self._setup()
         drift = const_drift(0.3)
-        rec = integrate(h0, drift, drift, cfg, path)
-        assert float(rec.kl.data) == 0.0
+        _, kl = integrate(h0, drift, drift, cfg, path)
+        assert float(kl.data) == 0.0
 
     def test_constant_offset_closed_form(self):
         # kl = 0.5 * n * d * (delta/g)^2 * (t1-t0), exact for constant drifts
         delta, g = 0.7, 1.3
         cfg, path, h0 = self._setup(g=g, steps=64)
-        rec = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path)
+        _, kl = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path)
         expect = 0.5 * 3 * 2 * (delta / g) ** 2
-        assert float(rec.kl.data) == pytest.approx(expect, rel=1e-12)
+        assert float(kl.data) == pytest.approx(expect, rel=1e-12)
 
     def test_kl_decreases_monotonically_in_g(self):
         kls = []
         for g in (0.5, 1.0, 2.0, 4.0):
             cfg, path, h0 = self._setup(g=g)
-            rec = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path)
-            kls.append(float(rec.kl.data))
+            _, kl = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path)
+            kls.append(float(kl.data))
         assert all(a > b for a, b in zip(kls, kls[1:]))
 
     def test_initial_state_preserved(self):
         cfg, path, h0 = self._setup()
-        rec = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
-        assert rec.states[0] is h0
-        assert len(rec.states) == cfg.steps + 1
+        before = h0.data.copy()
+        h1, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
+        assert np.array_equal(h0.data, before)
+        assert h1.data.shape == h0.data.shape
+
+    def test_without_prior_the_kl_is_skipped(self):
+        cfg, path, h0 = self._setup()
+        h_kl, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
+        h, kl = integrate(h0, const_drift(0.1), None, cfg, path)
+        assert kl is None
+        assert np.array_equal(h.data, h_kl.data)
 
     def test_coupled_paths_drift_only_deviation(self):
         # same path, g=0 limit, identical drift: the gap evolves as an ODE
         cfg = SDEConfig(steps=16, g=1e-12, scheme="em")
         path = BrownianPath(4, 16, 2, 2)
         drift = lambda h, t: h * (-0.5) if isinstance(h, Tensor) else -0.5 * h
-        a = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path)
-        b = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path)
-        gap = b.states[-1].data - a.states[-1].data
+        a, _ = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path)
+        b, _ = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path)
+        gap = b.data - a.data
         expect = 0.1 * (1 - 0.5 / 16) ** 16
         assert np.abs(gap - expect).max() < 1e-12
 
@@ -163,7 +171,7 @@ class TestIntegrate:
             cfg = SDEConfig(steps=L, g=1e-9, scheme="em")
             path = BrownianPath(0, L, 3, 2)
             h0 = Tensor(np.linspace(-1, 1, 6).reshape(3, 2))
-            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path).kl.data)
+            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path)[1].data)
         gaps = [abs(kls[8] - kls[16]), abs(kls[16] - kls[32]),
                 abs(kls[32] - kls[64])]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -180,8 +188,8 @@ class TestIntegrate:
                 return ad.tanh(ad.matmul(h, w))
             return np.tanh(h @ w.data)
 
-        rec = integrate(h0, drift, const_drift(0.0), cfg, path)
-        backward(rec.kl)
+        _, kl = integrate(h0, drift, const_drift(0.0), cfg, path)
+        backward(kl)
         eps = 1e-6
         fd = np.zeros_like(w.data)
         for idx in np.ndindex(*w.data.shape):
@@ -191,7 +199,7 @@ class TestIntegrate:
                 w.data[idx] = orig + delta
                 with ad.no_grad():
                     vals.append(float(integrate(
-                        h0, drift, const_drift(0.0), cfg, path).kl.data))
+                        h0, drift, const_drift(0.0), cfg, path)[1].data))
             w.data[idx] = orig
             fd[idx] = (vals[0] - vals[1]) / (2 * eps)
         denom = np.maximum(np.abs(fd), 1e-4)

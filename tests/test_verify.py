@@ -44,7 +44,7 @@ class LinearDriftModel:
     def posterior_drift_fn(self, graph):
         return lambda h, t: h @ Tensor(self.a)
 
-    def encode(self, graph, training=False):
+    def encode(self, graph, rng=None):
         return Tensor(self._h0)
 
 
@@ -150,7 +150,7 @@ class TestLemma1:
 
         g = make_graph()
         m = small_model(g, hidden=2)
-        m.posterior_drift_fn = lambda graph, training=False, rng=None: raising
+        m.posterior_drift_fn = lambda graph, rng=None: raising
         out = lemma1_check(m, g, mc=1_000, seed=0, zero_drift=True)
         assert all(row["diffusion_pass"] for row in out["grid"])
 
@@ -188,7 +188,7 @@ class TestLemma2:
         m.b2.data[:] = 0.0
         spec = PerturbationSpec(epsilon=1e-2, trials=10, grid_points=4, seed=1)
         drift = lambda h, t: lam * h
-        m.posterior_drift_fn = lambda graph, training=False, rng=None: drift
+        m.posterior_drift_fn = lambda graph, rng=None: drift
         lips = LipschitzEstimates(L_f=lam, L_g=0.0, L_h=1.0)
         out = lemma2_check(m, g, spec, lips=lips)
         assert out["pass"]
@@ -230,21 +230,26 @@ class TestResNetEquivalence:
         g = make_graph()
         m = small_model(g, hidden=3, scheme="em", steps=steps)
         path = BrownianPath(2, steps, g.n, m.hidden)
-        assert resnet_equivalence(m, g, path, steps) < 1e-12
+        assert resnet_equivalence(m, g, path) < 1e-12
 
-    def test_rejects_srk(self):
+    def test_srk_model_is_checked_with_em(self):
+        # the check integrates the model it is given with EM, whatever
+        # scheme it was trained with, and does not change its config
         g = make_graph()
         m = small_model(g, hidden=2, scheme="srk", steps=4)
         path = BrownianPath(0, 4, g.n, m.hidden)
-        with pytest.raises(ValueError, match="EM"):
-            resnet_equivalence(m, g, path, 4)
+        dev = resnet_equivalence(m, g, path)
+        em = small_model(g, hidden=2, scheme="em", steps=4)
+        assert dev < 1e-12
+        assert dev == resnet_equivalence(em, g, path)
+        assert m.sde_config.scheme == "srk"
 
     def test_rejects_depth_mismatch(self):
         g = make_graph()
         m = small_model(g, hidden=2, scheme="em", steps=4)
-        path = BrownianPath(0, 4, g.n, m.hidden)
-        with pytest.raises(ValueError):
-            resnet_equivalence(m, g, path, 8)
+        path = BrownianPath(0, 8, g.n, m.hidden)
+        with pytest.raises(ValueError, match="steps"):
+            resnet_equivalence(m, g, path)
 
 
 class TestGradientCheck:
