@@ -1,9 +1,22 @@
 """Minimal dense-tensor reverse-mode autodiff on numpy, plus Adam.
 
-Everything is float64. The tape is define-by-run: each op wires a backward
-closure into the output tensor, and ``backward(loss)`` replays the graph in
-reverse topological order. Tensors and the graphs they form are meant to be
-confined to a single thread; parameter values may be shared read-only.
+Everything is float64. The tape is define-by-run: each op that has an
+input needing a gradient gives its output a tape node, and
+``backward(loss)`` replays the nodes in reverse topological order. Tensors
+and the graphs they form are meant to be confined to a single thread;
+parameter values may be shared read-only.
+
+A Tensor holds its data and its node; the node holds the gradient, the
+backward closure and the nodes of the op's inputs, never a Tensor. Each
+closure keeps only the arrays its backward reads (tanh its output, matmul
+the other operand, mul its operands, dropout its mask; add, sub, scale,
+concat_cols, spmm and tensor_sum only shapes), so an intermediate that no
+backward reads is freed as soon as the forward drops its Tensor.
+``backward`` releases each interior node's gradient, closure and parents
+right after using them, so the tape shrinks as the pass runs and a second
+``backward`` through the same graph raises RuntimeError. Leaves keep their
+gradients. The first gradient a node receives is kept without a copy: no
+op writes a gradient in place.
 """
 
 import contextlib
@@ -25,27 +38,50 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _released(g):
+    raise RuntimeError("backward through a tape already released")
+
+
+class _Node:
+    """A tape entry: the gradient so far, the backward closure (None for a
+    leaf) and the input nodes (None for an input that needs no gradient).
+    The closure maps the output gradient to one gradient per input."""
+
+    __slots__ = ("grad", "backward", "parents")
+
+    def __init__(self, backward=None, parents=()):
+        self.grad = None
+        self.backward = backward
+        self.parents = parents
+
+    def accumulate(self, g):
+        self.grad = g if self.grad is None else self.grad + g
+
+
 class Tensor:
     """Dense float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        self.grad = None
-        self._backward = None
-        self._prev = ()
+        self._node = _Node() if requires_grad and _grad_enabled else None
 
     @property
     def shape(self):
         return self.data.shape
 
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad = self.grad + g
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -83,27 +119,29 @@ def _as_tensor(x):
 
 
 def _make(data, parents, backward_fn):
-    """Wrap an op result; record the backward closure only when needed."""
+    """Wrap an op result; record a node only when an input needs a gradient."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._backward = backward_fn
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents)
+        if any(n is not None for n in nodes):
+            out._node = _Node(backward_fn, nodes)
     return out
 
 
 # ---------------------------------------------------------------- core ops
+# A closure returns one gradient per input, in input order; backward drops
+# those of inputs that need none, and the closure skips computing them.
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
+    ra, rb = a.requires_grad, b.requires_grad
+    a_data = a.data if rb else None
+    b_data = b.data if ra else None
 
     def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
+        return (g @ b_data.T if ra else None, a_data.T @ g if rb else None)
 
     return _make(out_data, (a, b), _bwd)
 
@@ -114,13 +152,10 @@ def add(a, b):
     if bias_like and b.data.reshape(-1).shape[0] != a.data.shape[-1]:
         raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
     out_data = a.data + b.data
+    b_shape, rb = b.data.shape, b.requires_grad
 
     def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            gb = g.sum(axis=0).reshape(b.data.shape) if bias_like else g
-            b.accumulate_grad(gb)
+        return g, (g.sum(axis=0).reshape(b_shape) if bias_like and rb else g)
 
     return _make(out_data, (a, b), _bwd)
 
@@ -129,12 +164,10 @@ def sub(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
     out_data = a.data - b.data
+    rb = b.requires_grad
 
     def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
+        return g, (-g if rb else None)
 
     return _make(out_data, (a, b), _bwd)
 
@@ -143,12 +176,12 @@ def mul(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
     out_data = a.data * b.data
+    ra, rb = a.requires_grad, b.requires_grad
+    a_data = a.data if rb else None
+    b_data = b.data if ra else None
 
     def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
+        return (g * b_data if ra else None, g * a_data if rb else None)
 
     return _make(out_data, (a, b), _bwd)
 
@@ -156,32 +189,17 @@ def mul(a, b):
 def scale(a, c):
     c = float(c)
     out_data = a.data * c
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _make(out_data, (a,), _bwd)
+    return _make(out_data, (a,), lambda g: (g * c,))
 
 
 def tanh(a):
     out_data = np.tanh(a.data)
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), _bwd)
+    return _make(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
 def relu(a):
     out_data = np.maximum(a.data, 0.0)
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
-
-    return _make(out_data, (a,), _bwd)
+    return _make(out_data, (a,), lambda g: (g * (out_data > 0.0),))
 
 
 def concat_cols(a, b):
@@ -189,25 +207,18 @@ def concat_cols(a, b):
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} | {b.data.shape}")
     out_data = np.hstack([a.data, b.data])
     split = a.data.shape[1]
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g[:, :split])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, split:])
-
-    return _make(out_data, (a, b), _bwd)
+    return _make(out_data, (a, b), lambda g: (g[:, :split], g[:, split:]))
 
 
 def slice_rows(a, idx):
     idx = np.asarray(idx)
     out_data = a.data[idx]
+    shape = a.data.shape
 
     def _bwd(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            a.accumulate_grad(ga)
+        ga = np.zeros(shape)
+        np.add.at(ga, idx, g)
+        return (ga,)
 
     return _make(out_data, (a,), _bwd)
 
@@ -220,13 +231,7 @@ def dropout(a, p, rng=None):
     if rng is None or p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    out_data = a.data * mask
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _make(out_data, (a,), _bwd)
+    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def _softmax(z):
@@ -239,9 +244,8 @@ def softmax_rows(a):
     s = _softmax(a.data)
 
     def _bwd(g):
-        if a.requires_grad:
-            inner = (g * s).sum(axis=1, keepdims=True)
-            a.accumulate_grad(s * (g - inner))
+        inner = (g * s).sum(axis=1, keepdims=True)
+        return (s * (g - inner),)
 
     return _make(s, (a,), _bwd)
 
@@ -252,9 +256,8 @@ def log_softmax_rows(a):
     out_data = z - lse
 
     def _bwd(g):
-        if a.requires_grad:
-            s = np.exp(out_data)
-            a.accumulate_grad(g - s * g.sum(axis=1, keepdims=True))
+        s = np.exp(out_data)
+        return (g - s * g.sum(axis=1, keepdims=True),)
 
     return _make(out_data, (a,), _bwd)
 
@@ -271,33 +274,31 @@ def masked_cross_entropy(logits, labels, mask):
     nll = -logp[rows, labels[rows]].mean()
 
     def _bwd(g):
-        if logits.requires_grad:
-            gl = np.zeros_like(logits.data)
-            s = np.exp(logp[rows])
-            s[np.arange(rows.size), labels[rows]] -= 1.0
-            gl[rows] = s / rows.size
-            logits.accumulate_grad(float(g) * gl)
+        gl = np.zeros(logp.shape)
+        s = np.exp(logp[rows])
+        s[np.arange(rows.size), labels[rows]] -= 1.0
+        gl[rows] = s / rows.size
+        return (float(g) * gl,)
 
     return _make(nll, (logits,), _bwd)
 
 
 def tensor_sum(a):
-    out_data = a.data.sum()
-
-    def _bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _make(out_data, (a,), _bwd)
+    shape = a.data.shape
+    return _make(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def backward(loss):
-    """Reverse pass from a scalar loss; accumulates into leaf .grad fields."""
+    """Reverse pass from a scalar loss; accumulates into leaf .grad fields
+    and releases every interior node as soon as it has been used."""
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    root = loss._node
+    if root is None:
+        return
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -307,13 +308,17 @@ def backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._prev:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    loss.accumulate_grad(np.ones_like(loss.data))
+    root.accumulate(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node.backward is None:
+            continue
+        for p, g in zip(node.parents, node.backward(node.grad)):
+            if p is not None:
+                p.accumulate(g)
+        node.grad, node.backward, node.parents = None, _released, ()
 
 
 # ---------------------------------------------------------- sparse matrix
@@ -368,12 +373,8 @@ def spmm(adj, h):
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {h.data.shape}")
     d = h.data.shape[1]
     out_data = (adj._csr @ h.data.reshape(n, -1)).reshape(-1, d)
-
-    def _bwd(g):
-        if h.requires_grad:
-            h.accumulate_grad((adj._csr_t @ g.reshape(adj.shape[0], -1)).reshape(-1, d))
-
-    return _make(out_data, (h,), _bwd)
+    csr_t, m = adj._csr_t, adj.shape[0]
+    return _make(out_data, (h,), lambda g: ((csr_t @ g.reshape(m, -1)).reshape(-1, d),))
 
 
 # ------------------------------------------------------------------- adam

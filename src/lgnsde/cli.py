@@ -283,19 +283,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit:
         return 2
+    # an overflow or NaN raises where it is made, so no numpy warning
+    # reaches stderr before the one diagnostic line
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out = args.out or os.environ.get("LGNSDE_OUT") or cfg.out_dir
-        os.makedirs(out, exist_ok=True)
-        if args.command == "eval":
-            return cmd_eval(cfg, out, args.checkpoint)
-        return COMMANDS[args.command](cfg, out)
+        with np.errstate(all="raise", under="ignore"):
+            cfg = parse_config(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            out = args.out or os.environ.get("LGNSDE_OUT") or cfg.out_dir
+            os.makedirs(out, exist_ok=True)
+            if args.command == "eval":
+                return cmd_eval(cfg, out, args.checkpoint)
+            return COMMANDS[args.command](cfg, out)
     except (ConfigError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DivergedError as e:
+    except (DivergedError, FloatingPointError) as e:
         print(f"diverged: {e}", file=sys.stderr)
         return 1
 

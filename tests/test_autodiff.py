@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -236,8 +238,37 @@ class TestBackward:
         x = Tensor(np.ones(2), requires_grad=True)
         with ad.no_grad():
             out = ad.tanh(x)
-        assert not out.requires_grad and out._prev == ()
+        assert not out.requires_grad and out._node is None
 
+
+
+class TestTape:
+    def test_second_backward_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = ad.tensor_sum(ad.tanh(x))
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="tape already released"):
+            backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_unread_intermediate_is_freed(self):
+        # tanh's backward reads its output, never its input
+        rng = np.random.Generator(np.random.PCG64(3))
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        pre = ad.add(ad.matmul(x, w), b)
+        ref = weakref.ref(pre.data)
+        out = ad.tanh(pre)
+        del pre
+        assert ref() is None
+        backward(ad.tensor_sum(out))
+        t = np.tanh(x.data @ w.data + b.data)
+        d = 1.0 - t * t
+        assert np.array_equal(x.grad, d @ w.data.T)
+        assert np.array_equal(w.grad, x.data.T @ d)
+        assert np.array_equal(b.grad, d.sum(axis=0))
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):

@@ -163,6 +163,24 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("diverged:")
         assert not (out / "eval.json").exists()
 
+    def test_eval_overflow_is_one_diverged_line(self, tmp_path):
+        # finite weights whose products overflow: the first non-finite value
+        # is made inside predict, outside any training step
+        model = LGNSDEModel(d_in=6, num_classes=3, hidden=8)
+        model.W_enc.data[:] = 1e308
+        model.save(tmp_path / "model.npz")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "eval",
+                               "--config", write_cfg(tmp_path), "--out",
+                               str(tmp_path / "out"), "--checkpoint",
+                               str(tmp_path / "model.npz")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1
+        assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
+        assert not (tmp_path / "out" / "eval.json").exists()
+
     @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
                                         {"mc_samples": 2.5}, {"prior_mu": None}],
                              ids=["unknown", "str-int", "float-int", "null-float"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,29 @@ class TestDropoutFollowsRng:
             a = float(m.training_loss(g, path).data)
             b = float(m.training_loss(g, path, rng=rng).data)
         assert np.isfinite(b) and a != b
+
+
+class TestTapeMemory:
+    def test_buffers_kept_per_solver_step(self):
+        # the slope of one training step's traced peak in the solver steps,
+        # in state-sized buffers per SRK step; a tape that keeps every op
+        # output and a gradient for each holds about 64
+        graph = make_splits(sbm_generate(3, 100, 0.05, 0.005, 16, 2.0, seed=0),
+                            SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
+        hidden = 32
+
+        def step_peak(steps):
+            model = LGNSDEModel(graph.d_in, graph.num_classes, hidden=hidden,
+                                steps=steps, dropout=0.2, seed=0)
+            path = BrownianPath(1, steps, graph.n, hidden)
+            rng = np.random.Generator(np.random.PCG64(2))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                backward(model.training_loss(graph, path, rng=rng))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        state_bytes = graph.n * hidden * 8
+        assert (step_peak(16) - step_peak(8)) / 8 / state_bytes <= 12
