@@ -6,8 +6,8 @@ from .autodiff import Adam, SparseMatrix, Tensor, backward, no_grad
 from .graphdata import (Graph, SplitSpec, build_graph, load_bundle,
                         load_cora_raw, make_splits, normalized_adjacency,
                         ood_view, save_bundle, sbm_generate)
-from .metrics import (EvalReport, aurc, binary_auroc, entropy, entropy_rows,
-                      evaluate, micro_auroc, ood_evaluate)
+from .metrics import (EvalReport, aurc, binary_auroc, entropy_rows, evaluate,
+                      micro_auroc, ood_evaluate)
 from .model import LGNSDEModel
 from .sde import (BrownianPath, DivergedError, SDEConfig, em_step, integrate,
                   srk_step)

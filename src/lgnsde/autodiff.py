@@ -90,28 +90,16 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if np.isscalar(other):
             return scale(self, float(other))
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 def _as_tensor(x):
@@ -382,12 +370,11 @@ def spmm(adj, h):
 class Adam:
     """Adam with bias correction over a fixed list of parameter tensors."""
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -400,15 +387,15 @@ class Adam:
             if p.grad is None:
                 raise RuntimeError("adam step with a missing gradient")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         new = []
         for p, m, v in zip(self.params, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            new.append(p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps))
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad * p.grad
+            new.append(p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS))
         if not all(np.isfinite(a).all() for a in self.m + self.v + new):
             raise FloatingPointError(f"non-finite Adam moment or update at step {self.t}")
         for p, data in zip(self.params, new):

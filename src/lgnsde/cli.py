@@ -133,8 +133,9 @@ def build_model(cfg, graph):
                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
 
 
-def run_training(cfg, model, graph, val_ignore=None):
-    """train_model with the configured settings; one stderr line if it diverged."""
+def run_training(cfg, model, graph, ckpt, val_ignore=None):
+    """train_model with the configured settings, then save the model to
+    `ckpt`; one stderr line if it diverged."""
     log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
                       val_ignore=val_ignore, kl_weight=cfg.kl_weight,
@@ -142,6 +143,9 @@ def run_training(cfg, model, graph, val_ignore=None):
     if log.diverged:
         print(f"diverged: training stopped in epoch {len(log.epochs)}, "
               f"the best parameters were kept", file=sys.stderr)
+    model.save(ckpt)
+    # basename only: keeps runlog.json byte-identical across output dirs
+    log.checkpoint_path = os.path.basename(ckpt)
     return log
 
 
@@ -162,11 +166,7 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = load_dataset(cfg)
     model = build_model(cfg, graph)
-    log = run_training(cfg, model, graph)
-    ckpt = os.path.join(out, "model.npz")
-    model.save(ckpt)
-    # basename only: keeps runlog.json byte-identical across output dirs
-    log.checkpoint_path = os.path.basename(ckpt)
+    log = run_training(cfg, model, graph, os.path.join(out, "model.npz"))
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     _write_json(os.path.join(out, "runlog.json"), asdict(log))
     report.to_json(os.path.join(out, "eval.json"))
@@ -205,10 +205,8 @@ def cmd_ood(cfg, out):
     graph = load_dataset(cfg)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    log = run_training(cfg, model, view, val_ignore=is_ood)
-    ckpt = os.path.join(out, "model_ood.npz")
-    model.save(ckpt)
-    log.checkpoint_path = os.path.basename(ckpt)
+    log = run_training(cfg, model, view, os.path.join(out, "model_ood.npz"),
+                       val_ignore=is_ood)
     probs = model.predict(view, master_seed=cfg.seed)
     test = np.asarray(view.test_mask, dtype=bool)
     block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
@@ -290,7 +288,7 @@ def main(argv=None):
             cfg = parse_config(args.config)
             if args.seed is not None:
                 cfg.seed = args.seed
-            out = args.out or os.environ.get("LGNSDE_OUT") or cfg.out_dir
+            out = args.out or cfg.out_dir
             os.makedirs(out, exist_ok=True)
             if args.command == "eval":
                 return cmd_eval(cfg, out, args.checkpoint)

@@ -79,6 +79,9 @@ def build_graph(features, labels, edges, num_classes=None):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n, d_in = features.shape
+    bad = np.nonzero(~np.isfinite(features).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has a non-finite feature")
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if labels.size else 0
     edges = _canonical_edges(edges, n)
@@ -161,6 +164,8 @@ def load_bundle(path):
             idx = splits.get(key) if isinstance(splits, dict) else None
             if not isinstance(idx, list):
                 raise ValueError(f"{splits_path}: no {key!r} list of node indices")
+            if not idx:
+                raise ValueError(f"{splits_path}: the {key!r} list is empty")
             for i in idx:
                 if type(i) is not int or not 0 <= i < n:
                     raise ValueError(f"{splits_path}: {key!r} index {i!r} is not "
@@ -257,6 +262,15 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
 
 def make_splits(graph, spec):
     """Return a copy of the graph with stratified train/val/test masks."""
+    if spec.train_per_class is not None and spec.train_per_class < 1:
+        raise ValueError(f"train_per_class must be >= 1, got {spec.train_per_class}")
+    for name in ("val_count", "test_count"):
+        if getattr(spec, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(spec, name)}")
+    for name in ("train_frac", "val_frac"):
+        frac = getattr(spec, name)
+        if frac is not None and not 0.0 < frac < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {frac}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = graph.n
     order = rng.permutation(n)
@@ -297,8 +311,9 @@ def make_splits(graph, spec):
             test[members[n_tr + n_va:]] = True
     if spec.ood_class is not None:
         assert not np.any(train & (graph.labels == spec.ood_class))
-    if not train.any():
-        raise ValueError("empty train mask")
+    for name, mask in (("train", train), ("val", val), ("test", test)):
+        if not mask.any():
+            raise ValueError(f"empty {name} mask")
     return replace(graph, train_mask=train, val_mask=val, test_mask=test)
 
 

@@ -14,18 +14,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 
-def entropy(probs_row):
-    """Shannon entropy (nats) of one probability row; 0 log 0 := 0."""
-    p = np.asarray(probs_row, dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("negative probability entry")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"row sums to {p.sum()}, not 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def entropy_rows(probs):
+    """Shannon entropy (nats) of each probability row; 0 log 0 := 0."""
     p = np.asarray(probs, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
@@ -135,9 +125,10 @@ def evaluate(probs, labels, mask=None):
                       mean_entropy_incorrect=mei)
 
 
-def entropy_histogram_csv(path, ent_a, ent_b, bins=30, label_a="correct_or_in",
-                          label_b="incorrect_or_ood"):
-    """Write paired entropy histograms (bin_left, bin_right, two counts)."""
+def entropy_histogram_csv(path, ent_a, ent_b, label_a, label_b):
+    """Write paired entropy histograms over 30 equal bins (bin_left,
+    bin_right, two counts)."""
+    bins = 30
     ent_a = np.asarray(ent_a, dtype=np.float64)
     ent_b = np.asarray(ent_b, dtype=np.float64)
     hi = max(ent_a.max(initial=0.0), ent_b.max(initial=0.0), 1e-9)

@@ -167,7 +167,7 @@ class LGNSDEModel:
     @classmethod
     def load(cls, path):
         """Rebuild a saved model. A config with a missing, unknown or
-        ill-typed key is a ValueError."""
+        ill-typed key, or an array of the wrong shape, is a ValueError."""
         with np.load(path) as z:
             cfg = json.loads(bytes(z["config"].tobytes()).decode())
             if not isinstance(cfg, dict) or cfg.pop("version", None) != cls.CHECKPOINT_VERSION:
@@ -181,5 +181,8 @@ class LGNSDEModel:
                                  f"ill-typed keys: {', '.join(bad)}")
             model = cls(**cfg)
             for name in cls._param_names:
-                getattr(model, name).data = z[name].astype(np.float64)
+                data, want = z[name], getattr(model, name).data.shape
+                if data.shape != want:
+                    raise ValueError(f"{name} has shape {data.shape}, expected {want}")
+                getattr(model, name).data = data.astype(np.float64)
         return model

@@ -43,19 +43,11 @@ class SDEConfig:
 
 
 class BrownianPath:
-    """Seeded Wiener increments: `steps` arrays of shape (n, d) ~ N(0, dt)."""
+    """Seeded Wiener increments: a (steps, n, d) array of N(0, dt) draws."""
 
     def __init__(self, seed, steps, n, d, t0=0.0, t1=1.0):
-        self.seed = int(seed)
-        self.steps = int(steps)
-        self.n = int(n)
-        self.d = int(d)
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        dt = (t1 - t0) / steps
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.increments = [rng.standard_normal((n, d)) * np.sqrt(dt)
-                           for _ in range(steps)]
+        rng = np.random.Generator(np.random.PCG64(int(seed)))
+        self.increments = rng.standard_normal((steps, n, d)) * np.sqrt((t1 - t0) / steps)
 
 
 def em_step(h, f, g, dw, dt):
@@ -85,11 +77,10 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     posterior drift parameters. With no prior drift (prediction) the KL is
     not computed and is None.
     """
-    if path.steps != config.steps:
-        raise ValueError(f"path has {path.steps} steps, config wants {config.steps}")
-    n, d = h0.data.shape
-    if (path.n, path.d) != (n, d):
-        raise ValueError(f"path shape ({path.n},{path.d}) != state shape ({n},{d})")
+    want = (config.steps,) + h0.data.shape
+    if path.increments.shape != want:
+        raise ValueError(f"path has shape {path.increments.shape}, the config "
+                         f"and state want (steps, n, d) = {want}")
     dt = config.dt
     g = config.g
     h = h0

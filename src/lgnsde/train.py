@@ -44,6 +44,8 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if patience < 0:
         raise ValueError(f"patience must be >= 0, got {patience}")
+    if lr < 0:
+        raise ValueError(f"lr must be >= 0, got {lr}")
     if val_mc < 1:
         raise ValueError(f"val_mc must be >= 1, got {val_mc}")
     params = model.parameters()

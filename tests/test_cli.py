@@ -126,6 +126,15 @@ class TestExitCodes:
         ("train", "seed = none\n", "run.cfg:19: bad value for seed"),
         ("train", "epochs = none\n", "run.cfg:19: bad value for epochs"),
         ("train", "lr = none\n", "run.cfg:19: bad value for lr"),
+        ("train", "train_per_class = 0\n", "train_per_class must be >= 1"),
+        ("train", "train_per_class = 3\nval_count = -3\n", "val_count must be >= 0"),
+        ("train", "train_per_class = 3\ntest_count = -1\n", "test_count must be >= 0"),
+        ("train", "train_per_class = 3\nval_count = 0\n", "empty val mask"),
+        ("train", "train_per_class = 3\nval_count = 10\ntest_count = 0\n",
+         "empty test mask"),
+        ("train", "train_frac = -0.2\n", "train_frac must be in (0, 1)"),
+        ("train", "val_frac = 1.5\n", "val_frac must be in (0, 1)"),
+        ("train", "lr = -1\n", "lr must be >= 0"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command,
                                        extra, message):
@@ -205,6 +214,7 @@ class TestExitCodes:
         ("train", 999, "'train' index 999 is not a node in 0..17"),
         ("test", -1, "'test' index -1 is not a node in 0..17"),
         ("val", None, "no 'val' list of node indices"),
+        ("test", "clear", "the 'test' list is empty"),
     ])
     def test_bad_bundle_splits(self, tmp_path, capsys, key, index, message):
         graph = sbm_generate(3, 6, 0.3, 0.03, 6, 2.0, seed=0)
@@ -214,6 +224,8 @@ class TestExitCodes:
         splits = json.loads(splits_path.read_text())
         if index is None:
             del splits[key]
+        elif index == "clear":
+            splits[key] = []
         else:
             splits[key].append(index)
         splits_path.write_text(json.dumps(splits))
@@ -222,6 +234,34 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert err == [f"config error: {splits_path}: {message}"]
+
+    def test_eval_checkpoint_with_bad_array_shape(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        arrays["W1"] = np.zeros((3, 3))
+        np.savez(ckpt, **arrays)
+        code, _ = run(tmp_path, "eval", "--config", write_cfg(tmp_path),
+                      "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"config error: unreadable checkpoint {str(ckpt)!r}: "
+                       f"W1 has shape (3, 3), expected (9, 8)"]
+
+    def test_non_finite_feature_is_config_error(self, tmp_path, capsys):
+        save_bundle(sbm_generate(3, 6, 0.3, 0.03, 6, 2.0, seed=0), tmp_path / "b")
+        nodes = tmp_path / "b" / "nodes.tsv"
+        lines = nodes.read_text().splitlines()
+        fields = lines[4].split("\t")
+        fields[3] = "nan"
+        lines[4] = "\t".join(fields)
+        nodes.write_text("\n".join(lines) + "\n")
+        path = write_cfg(tmp_path, extra=f"dataset = bundle\nbundle_path = {tmp_path / 'b'}\n")
+        code, _ = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == ["config error: node 4 has a non-finite feature"]
 
     @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
                                        "prior_mu = 1e308\n", "g = 1e200\n"])

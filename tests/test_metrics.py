@@ -3,30 +3,24 @@ import itertools
 import numpy as np
 import pytest
 
-from lgnsde.metrics import (aurc, binary_auroc, entropy, entropy_histogram_csv,
+from lgnsde.metrics import (aurc, binary_auroc, entropy_histogram_csv,
                             entropy_rows, evaluate, micro_auroc, ood_evaluate)
 
 
 class TestEntropy:
     def test_uniform_four(self):
-        assert entropy(np.full(4, 0.25)) == pytest.approx(np.log(4), abs=1e-12)
+        assert entropy_rows(np.full((1, 4), 0.25)) == pytest.approx([np.log(4)], abs=1e-12)
 
     def test_one_hot_zero(self):
-        assert entropy(np.array([0.0, 1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_rows(np.array([[0.0, 1.0, 0.0]])) == pytest.approx([0.0], abs=1e-12)
 
     def test_binary_half(self):
-        assert entropy(np.array([0.5, 0.5])) == pytest.approx(np.log(2), abs=1e-12)
+        assert entropy_rows(np.array([[0.5, 0.5]])) == pytest.approx([np.log(2)], abs=1e-12)
 
     def test_rows(self):
         p = np.array([[0.25] * 4, [1.0, 0, 0, 0]])
         out = entropy_rows(p)
         assert out == pytest.approx([np.log(4), 0.0], abs=1e-12)
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            entropy(np.array([0.5, 0.2]))
-        with pytest.raises(ValueError):
-            entropy(np.array([1.5, -0.5]))
 
 
 def pair_count_auroc(scores, labels):
@@ -198,8 +192,7 @@ class TestEvaluateAndReports:
         probs, _ = self._toy()
         ent = entropy_rows(probs)
         path = tmp_path / "hist.csv"
-        entropy_histogram_csv(path, ent[:3], ent[3:], bins=5,
-                              label_a="in", label_b="ood")
+        entropy_histogram_csv(path, ent[:3], ent[3:], label_a="in", label_b="ood")
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "bin_left,bin_right,count_in,count_ood"
         counts_in = sum(int(l.split(",")[2]) for l in lines[1:])

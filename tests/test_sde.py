@@ -19,6 +19,17 @@ class TestBrownianPath:
         for x, y in zip(a.increments, b.increments):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("seed, steps, n, d, t1", [(0, 1, 1, 1, 1.0),
+                                                       (7, 16, 9, 8, 1.0),
+                                                       (2 ** 31 - 1, 5, 4, 3, 2.5)])
+    def test_one_draw_equals_per_step_draws(self, seed, steps, n, d, t1):
+        # the (steps, n, d) draw must keep every seeded report unchanged
+        rng = np.random.Generator(np.random.PCG64(seed))
+        per_step = [rng.standard_normal((n, d)) * np.sqrt(t1 / steps)
+                    for _ in range(steps)]
+        assert np.array_equal(BrownianPath(seed, steps, n, d, 0.0, t1).increments,
+                              np.stack(per_step))
+
     def test_increment_variance(self):
         # pooled per-entry variance over many paths approaches dt
         L, n, d = 4, 5, 3

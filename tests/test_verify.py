@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lgnsde import autodiff as ad
 from lgnsde.autodiff import Tensor
 from lgnsde.sde import BrownianPath, SDEConfig
 from lgnsde.verify import (LipschitzEstimates, PerturbationSpec,
@@ -42,7 +43,7 @@ class LinearDriftModel:
         self._h0 = np.zeros((n, self.hidden))
 
     def posterior_drift_fn(self, graph):
-        return lambda h, t: h @ Tensor(self.a)
+        return lambda h, t: ad.matmul(h, Tensor(self.a))
 
     def encode(self, graph, rng=None):
         return Tensor(self._h0)
@@ -63,7 +64,7 @@ class TestJacobianNorm:
             pert = h.copy()
             pert.reshape(-1)[i] += eps
             jac[:, i] = (f(Tensor(pert), t).data - base).reshape(-1) / eps
-        got = _jacobian_norm(_batched_drift(m, g), h, t, fd_eps=eps)
+        got = _jacobian_norm(_batched_drift(m, g), h, t)
         assert got == spectral_norm(jac)  # same arithmetic, same bits
 
 
@@ -187,7 +188,7 @@ class TestLemma2:
         m.W2.data[:] = 0.0
         m.b2.data[:] = 0.0
         spec = PerturbationSpec(epsilon=1e-2, trials=10, grid_points=4, seed=1)
-        drift = lambda h, t: lam * h
+        drift = lambda h, t: h * lam
         m.posterior_drift_fn = lambda graph, rng=None: drift
         lips = LipschitzEstimates(L_f=lam, L_g=0.0, L_h=1.0)
         out = lemma2_check(m, g, spec, lips=lips)
@@ -205,23 +206,6 @@ class TestLemma2:
         out = lemma2_check(m, g, spec)
         assert out["pass"]
         assert out["L_f"] >= out["L_f_realized"]
-
-    def test_fixed_direction_validation(self):
-        with pytest.raises(ValueError):
-            PerturbationSpec(direction=np.ones((2, 2)))  # not unit norm
-
-    def test_fixed_unit_direction_accepted(self):
-        d = np.zeros((2, 2))
-        d[0, 0] = 1.0
-        spec = PerturbationSpec(direction=d, trials=3)
-        g = make_graph()
-        m = small_model(g, hidden=2)
-        # direction shape must match the state; rebuild with the right shape
-        d = np.zeros((g.n, 2))
-        d[0, 0] = 1.0
-        spec = PerturbationSpec(direction=d, trials=3)
-        out = lemma2_check(m, g, spec)
-        assert out["pass"]
 
 
 class TestResNetEquivalence:
