@@ -293,7 +293,8 @@ def main(argv=None):
             if args.command == "eval":
                 return cmd_eval(cfg, out, args.checkpoint)
             return COMMANDS[args.command](cfg, out)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError, MemoryError) as e:
+        # MemoryError: a count too large to allocate, such as mc_samples
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivergedError, FloatingPointError) as e:

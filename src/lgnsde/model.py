@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .sde import BrownianPath, SDEConfig, integrate
+from .sde import SDEConfig, drawn_ahead, integrate
 
 
 def glorot(rng, fan_in, fan_out):
@@ -32,6 +32,10 @@ class LGNSDEModel:
             raise ValueError(f"dropout must be in [0,1), got {dropout}")
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+        theta = 0.0 if prior_ou_theta is None else prior_ou_theta
+        if not np.isfinite([prior_mu, theta]).all():
+            raise ValueError(f"prior_mu and prior_ou_theta must be finite, got "
+                             f"{prior_mu}, {prior_ou_theta}")
         self.d_in = d_in
         self.num_classes = num_classes
         self.hidden = hidden
@@ -106,7 +110,7 @@ class LGNSDEModel:
         if kl_weight is None:
             kl_weight = 1.0 / (graph.n * self.hidden)
         h, kl = integrate(self.encode(graph, rng), self.posterior_drift_fn(graph, rng),
-                          self.prior_drift, self.sde_config, path)
+                          self.prior_drift, self.sde_config, path.increments)
         nll = ad.masked_cross_entropy(self.decode(h), graph.labels, graph.train_mask)
         n_train = int(np.count_nonzero(graph.train_mask))
         return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)
@@ -117,20 +121,23 @@ class LGNSDEModel:
         return -self.training_loss(graph, path, rng, kl_weight=1.0)
 
     def predict(self, graph, mc_samples=None, master_seed=0, return_samples=False):
-        """MC posterior predictive: average softmax over Brownian samples."""
+        """MC posterior predictive: average softmax over Brownian samples.
+
+        Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
+        draw; the next path is drawn on a helper thread meanwhile."""
         n_mc = self.mc_samples if mc_samples is None else mc_samples
         if n_mc < 1:
             raise ValueError("mc_samples must be >= 1")
         cfg = self.sde_config
         seeds = np.random.SeedSequence(master_seed).generate_state(n_mc)
+        rngs = (np.random.Generator(np.random.PCG64(int(s))) for s in seeds)
         samples = []
-        with no_grad():
+        with no_grad(), drawn_ahead(rngs, (cfg.steps, graph.n, self.hidden),
+                                    cfg.dt) as paths:
             h0 = self.encode(graph)
             drift = self.posterior_drift_fn(graph)
-            for s in seeds:
-                path = BrownianPath(s, cfg.steps, graph.n, self.hidden,
-                                    cfg.t0, cfg.t1)
-                h, _ = integrate(h0, drift, None, cfg, path)
+            for increments in paths:
+                h, _ = integrate(h0, drift, None, cfg, increments)
                 samples.append(ad.softmax_rows(self.decode(h)).data)
         stacked = np.stack(samples)
         mean = stacked.mean(axis=0)

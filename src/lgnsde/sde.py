@@ -5,6 +5,9 @@ on the autodiff tape, so gradients of the accumulated KL and of any
 function of the final state flow back into the drift parameters.
 """
 
+import itertools
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,54 @@ class BrownianPath:
         self.increments = rng.standard_normal((steps, n, d)) * np.sqrt((t1 - t0) / steps)
 
 
+@contextmanager
+def drawn_ahead(rngs, shape, dt):
+    """Iterate over one `shape` array of N(0, dt) draws per rng in `rngs`,
+    each drawn while the caller works on the one before it.
+
+    One helper thread fills each array with ``standard_normal(out=...)``
+    and ``*= sqrt(dt)``, bit-identical to ``standard_normal(shape) *
+    sqrt(dt)``. The first draw starts on entry, and the helper fills array
+    i+1 while the caller uses array i: at most one draw runs ahead. The
+    arrays take turns in two buffers, so array i is overwritten once array
+    i+1 is requested: use each array before asking for the next. The
+    caller's thread takes each rng from `rngs` and allocates the buffers,
+    so no memory is freed into the helper's malloc arena. The helper calls
+    numpy only: it touches no Tensor and calls nothing a tracer may wrap.
+    numpy keeps ``np.errstate`` per thread context, so the helper runs
+    under the caller's settings, copied on entry; an error raised there is
+    raised by the iterator. The thread is joined when the ``with`` block
+    ends, also when it ends in an exception.
+    """
+    scale = np.sqrt(dt)
+    err = np.geterr()
+
+    def fill(rng, out):
+        with np.errstate(**err):
+            rng.standard_normal(out=out)
+            out *= scale
+        return out
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        rngs = iter(rngs)
+        # both buffers in one block: a large one is mapped and unmapped
+        # whole, so it leaves no hole in the heap (two blocks, or one per
+        # draw, raised the peak RSS of some benchmark runs by 2-8%)
+        buffers = itertools.cycle(np.empty((2, *shape)))
+
+        def submit():
+            rng = next(rngs, None)
+            return None if rng is None else helper.submit(fill, rng, next(buffers))
+
+        def draws(pending):
+            while pending is not None:
+                ahead = submit()
+                yield pending.result()
+                pending = ahead
+
+        yield draws(submit())
+
+
 def em_step(h, f, g, dw, dt):
     """Euler-Maruyama: H + F dt + g dW. Works on Tensors or ndarrays; on
     ndarray ensembles dW broadcasts over leading axes and F may be 0."""
@@ -69,8 +120,9 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
     return h + (k1 + k2) * (dt / 2.0) + g * dw
 
 
-def integrate(h0, posterior_drift, prior_drift, config, path):
-    """Advance h0 with the posterior drift; return (H(t1), KL).
+def integrate(h0, posterior_drift, prior_drift, config, increments):
+    """Advance h0 with the posterior drift driven by the (steps, n, d)
+    Wiener `increments`; return (H(t1), KL).
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
@@ -78,8 +130,8 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     not computed and is None.
     """
     want = (config.steps,) + h0.data.shape
-    if path.increments.shape != want:
-        raise ValueError(f"path has shape {path.increments.shape}, the config "
+    if increments.shape != want:
+        raise ValueError(f"increments have shape {increments.shape}, the config "
                          f"and state want (steps, n, d) = {want}")
     dt = config.dt
     g = config.g
@@ -87,7 +139,7 @@ def integrate(h0, posterior_drift, prior_drift, config, path):
     kl = None if prior_drift is None else Tensor(0.0)
     for j in range(config.steps):
         t = config.t0 + j * dt
-        dw = path.increments[j]
+        dw = increments[j]
         f_post = posterior_drift(h, t)
         if kl is not None:
             v = (f_post - prior_drift(h, t)) * (1.0 / g)

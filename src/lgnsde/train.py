@@ -48,6 +48,8 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
         raise ValueError(f"lr must be >= 0, got {lr}")
     if val_mc < 1:
         raise ValueError(f"val_mc must be >= 1, got {val_mc}")
+    if kl_weight is not None and not 0 <= kl_weight < np.inf:
+        raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
     params = model.parameters()
     opt = Adam(params, lr=lr)
     path_seeds = np.random.SeedSequence([seed, 1]).generate_state(epochs)

@@ -12,13 +12,14 @@ the zero-drift control of lemma 1 passes a drift of 0 and never evaluates
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
-from .sde import em_step, integrate
+from .sde import drawn_ahead, em_step, integrate
 
 
 @dataclass
@@ -145,16 +146,17 @@ def estimate_lipschitz(model, graph, samples=200, seed=0):
 def _simulate(drift, h, cfg, rng, record_idx):
     """Euler-Maruyama on an ndarray ensemble h of shape (..., paths, n, d).
 
-    Each step draws one (paths, n, d) noise array, shared across any
-    leading axes so stacked copies of an ensemble stay coupled. Returns
+    Each step draws one (paths, n, d) noise array from `rng`, shared
+    across any leading axes so stacked copies of an ensemble stay coupled;
+    the next step's array is drawn on a helper thread meanwhile. Returns
     {step: states} for the steps in `record_idx` (step 0 is `h`).
     """
     out = {0: h} if 0 in record_idx else {}
-    for j in range(cfg.steps):
-        dw = rng.standard_normal(h.shape[-3:]) * np.sqrt(cfg.dt)
-        h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
-        if j + 1 in record_idx:
-            out[j + 1] = h
+    with drawn_ahead(itertools.repeat(rng, cfg.steps), h.shape[-3:], cfg.dt) as noise:
+        for j, dw in enumerate(noise):
+            h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
+            if j + 1 in record_idx:
+                out[j + 1] = h
     return out
 
 
@@ -266,7 +268,7 @@ def resnet_equivalence(model, graph, path):
     drift = model.posterior_drift_fn(graph)
     with no_grad():
         h = model.encode(graph)
-        h_em, _ = integrate(h, drift, None, cfg, path)
+        h_em, _ = integrate(h, drift, None, cfg, path.increments)
         for j in range(cfg.steps):
             h = h + drift(h, cfg.t0 + j * cfg.dt) * cfg.dt + cfg.g * path.increments[j]
     return float(np.abs(h.data - h_em.data).max())

@@ -135,6 +135,10 @@ class TestExitCodes:
         ("train", "train_frac = -0.2\n", "train_frac must be in (0, 1)"),
         ("train", "val_frac = 1.5\n", "val_frac must be in (0, 1)"),
         ("train", "lr = -1\n", "lr must be >= 0"),
+        ("train", "kl_weight = -1\n", "kl_weight must be finite and >= 0"),
+        ("train", "kl_weight = nan\n", "kl_weight must be finite and >= 0"),
+        ("train", "prior_mu = nan\n", "prior_mu and prior_ou_theta must be finite"),
+        ("train", "prior_ou_theta = nan\n", "prior_mu and prior_ou_theta must be finite"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command,
                                        extra, message):
@@ -152,6 +156,14 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
+
+    def test_unallocatable_count_is_one_line(self, tmp_path, capsys):
+        # no training, then a predict whose seed array no machine can hold
+        path = write_cfg(tmp_path, extra="epochs = 0\nmc_samples = 1000000000000000000\n")
+        code, _ = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error: Unable to allocate")
 
     def test_out_under_a_regular_file(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
@@ -285,6 +297,20 @@ class TestExitCodes:
         for name in LGNSDEModel._param_names:
             assert np.array_equal(getattr(trained, name).data,
                                   getattr(fresh, name).data)
+
+    @pytest.mark.parametrize("command, extra", [("ood", "g = 1e200\nood_class = 2\n"),
+                                                ("verify", "g = 1e306\n")])
+    def test_blow_up_outside_training_is_one_diverged_line(self, tmp_path, command,
+                                                           extra):
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\n" + extra)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", command,
+                               "--config", path, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1
+        assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
 
 
 class TestGenerate:

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
 from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
 from lgnsde.model import LGNSDEModel
-from lgnsde.sde import BrownianPath
+from lgnsde.sde import BrownianPath, integrate
 from lgnsde.verify import _batched_drift
 
 
@@ -208,6 +209,49 @@ class TestPredict:
         g = make_graph()
         with pytest.raises(ValueError):
             small_model(g).predict(g, mc_samples=0)
+
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_equals_serial_reference(self, scheme):
+        # each sample integrates BrownianPath(seed_i), one after another
+        g = make_graph()
+        m = small_model(g, scheme=scheme, steps=5)  # sqrt(dt) is inexact
+        cfg = m.sde_config
+        seeds = np.random.SeedSequence(11).generate_state(5)
+        ref = []
+        with ad.no_grad():
+            h0, drift = m.encode(g), m.posterior_drift_fn(g)
+            for s in seeds:
+                path = BrownianPath(s, cfg.steps, g.n, m.hidden, cfg.t0, cfg.t1)
+                h, _ = integrate(h0, drift, None, cfg, path.increments)
+                ref.append(ad.softmax_rows(m.decode(h)).data)
+        ref = np.stack(ref)
+        mean, samples = m.predict(g, mc_samples=5, master_seed=11, return_samples=True)
+        assert np.array_equal(samples, ref)
+        assert np.array_equal(mean, ref.mean(axis=0))
+        assert np.array_equal(m.predict(g, mc_samples=5, master_seed=11), mean)
+
+    def test_no_thread_outlives_a_raising_drift(self):
+        g = make_graph()
+        m = small_model(g)
+        drift_fn = m.posterior_drift_fn
+        calls = []
+
+        def failing(graph, rng=None):
+            drift = drift_fn(graph, rng)
+
+            def raising(h, t):
+                calls.append(t)
+                if len(calls) == 10:  # in the second sample, 8 SRK drift calls each
+                    raise RuntimeError("drift failed")
+                return drift(h, t)
+
+            return raising
+
+        m.posterior_drift_fn = failing
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="drift failed"):
+            m.predict(g, mc_samples=5)
+        assert threading.active_count() == before
 
 
 class TestCheckpoint:

@@ -129,14 +129,14 @@ class TestIntegrate:
     def test_identical_drifts_zero_kl(self):
         cfg, path, h0 = self._setup()
         drift = const_drift(0.3)
-        _, kl = integrate(h0, drift, drift, cfg, path)
+        _, kl = integrate(h0, drift, drift, cfg, path.increments)
         assert float(kl.data) == 0.0
 
     def test_constant_offset_closed_form(self):
         # kl = 0.5 * n * d * (delta/g)^2 * (t1-t0), exact for constant drifts
         delta, g = 0.7, 1.3
         cfg, path, h0 = self._setup(g=g, steps=64)
-        _, kl = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path)
+        _, kl = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path.increments)
         expect = 0.5 * 3 * 2 * (delta / g) ** 2
         assert float(kl.data) == pytest.approx(expect, rel=1e-12)
 
@@ -144,21 +144,21 @@ class TestIntegrate:
         kls = []
         for g in (0.5, 1.0, 2.0, 4.0):
             cfg, path, h0 = self._setup(g=g)
-            _, kl = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path)
+            _, kl = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path.increments)
             kls.append(float(kl.data))
         assert all(a > b for a, b in zip(kls, kls[1:]))
 
     def test_initial_state_preserved(self):
         cfg, path, h0 = self._setup()
         before = h0.data.copy()
-        h1, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
+        h1, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path.increments)
         assert np.array_equal(h0.data, before)
         assert h1.data.shape == h0.data.shape
 
     def test_without_prior_the_kl_is_skipped(self):
         cfg, path, h0 = self._setup()
-        h_kl, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
-        h, kl = integrate(h0, const_drift(0.1), None, cfg, path)
+        h_kl, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path.increments)
+        h, kl = integrate(h0, const_drift(0.1), None, cfg, path.increments)
         assert kl is None
         assert np.array_equal(h.data, h_kl.data)
 
@@ -167,8 +167,8 @@ class TestIntegrate:
         cfg = SDEConfig(steps=16, g=1e-12, scheme="em")
         path = BrownianPath(4, 16, 2, 2)
         drift = lambda h, t: h * (-0.5) if isinstance(h, Tensor) else -0.5 * h
-        a, _ = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path)
-        b, _ = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path)
+        a, _ = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path.increments)
+        b, _ = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path.increments)
         gap = b.data - a.data
         expect = 0.1 * (1 - 0.5 / 16) ** 16
         assert np.abs(gap - expect).max() < 1e-12
@@ -182,7 +182,7 @@ class TestIntegrate:
             cfg = SDEConfig(steps=L, g=1e-9, scheme="em")
             path = BrownianPath(0, L, 3, 2)
             h0 = Tensor(np.linspace(-1, 1, 6).reshape(3, 2))
-            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path)[1].data)
+            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path.increments)[1].data)
         gaps = [abs(kls[8] - kls[16]), abs(kls[16] - kls[32]),
                 abs(kls[32] - kls[64])]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -199,7 +199,7 @@ class TestIntegrate:
                 return ad.tanh(ad.matmul(h, w))
             return np.tanh(h @ w.data)
 
-        _, kl = integrate(h0, drift, const_drift(0.0), cfg, path)
+        _, kl = integrate(h0, drift, const_drift(0.0), cfg, path.increments)
         backward(kl)
         eps = 1e-6
         fd = np.zeros_like(w.data)
@@ -210,7 +210,7 @@ class TestIntegrate:
                 w.data[idx] = orig + delta
                 with ad.no_grad():
                     vals.append(float(integrate(
-                        h0, drift, const_drift(0.0), cfg, path)[1].data))
+                        h0, drift, const_drift(0.0), cfg, path.increments)[1].data))
             w.data[idx] = orig
             fd[idx] = (vals[0] - vals[1]) / (2 * eps)
         denom = np.maximum(np.abs(fd), 1e-4)
@@ -225,14 +225,14 @@ class TestIntegrate:
             return Tensor(np.full(data.shape, np.inf))
 
         with pytest.raises(DivergedError, match="step 0"):
-            integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path)
+            integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path.increments)
 
     def test_path_config_mismatch(self):
         cfg = SDEConfig(steps=4)
         path = BrownianPath(0, 8, 1, 1)
         with pytest.raises(ValueError, match="steps"):
             integrate(Tensor(np.ones((1, 1))), const_drift(0.0),
-                      const_drift(0.0), cfg, path)
+                      const_drift(0.0), cfg, path.increments)
 
 
 class TestSDEConfig:

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps lgnsde functions by
 name. Deleting or renaming one of them must fail this suite, not only the
-benchmark run."""
+benchmark run. The tracer keeps one span stack and assumes one thread, so
+the helper thread that draws Brownian noise must call nothing it wraps."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import lgnsde
@@ -51,3 +53,31 @@ def test_tracer_installs_records_and_restores(tmp_path):
     for owner, attrs in zip(OWNERS, before):
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, (owner, attr)
+
+
+def test_spans_nest_while_noise_is_drawn_ahead():
+    # a span recorded from a second thread would overlap a sibling or stick
+    # out of its parent; a short switch interval makes threads interleave
+    graph = graphdata.make_splits(graphdata.sbm_generate(3, 4, 0.3, 0.03, 4, 2.0, seed=0),
+                                  graphdata.SplitSpec(seed=0, train_frac=0.4, val_frac=0.3))
+    m = model.LGNSDEModel(graph.d_in, graph.num_classes, hidden=4, steps=3, seed=0)
+    recorder = _recorder()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        recorder.install()
+        m.predict(graph, mc_samples=4)
+        verify.lemma1_check(m, graph, mc=1000, grid_points=2)
+    finally:
+        recorder.uninstall()
+        sys.setswitchinterval(interval)
+    spans = recorder.spans
+    assert {"sde.integrate", "model.drift", "verify.lemma1"} <= {s[0] for s in spans}
+    last_end = {}  # parent index -> end of its latest child
+    for name, start, end, parent, *_ in spans:
+        assert start <= end
+        assert start >= last_end.get(parent, start), name
+        last_end[parent] = end
+        if parent >= 0:
+            _, p_start, p_end, *_ = spans[parent]
+            assert p_start <= start and end <= p_end, (name, spans[parent][0])

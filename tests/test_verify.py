@@ -1,11 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 from lgnsde import autodiff as ad
 from lgnsde.autodiff import Tensor
-from lgnsde.sde import BrownianPath, SDEConfig
+from lgnsde.sde import BrownianPath, SDEConfig, em_step
 from lgnsde.verify import (LipschitzEstimates, PerturbationSpec,
-                           _batched_drift, _jacobian_norm,
+                           _batched_drift, _jacobian_norm, _simulate,
                            elbo_gradient_check, estimate_lipschitz,
                            lemma1_check, lemma2_check, resnet_equivalence,
                            spectral_norm, write_report)
@@ -164,6 +166,52 @@ class TestLemma1:
         for p, a, data in zip(m.parameters(), arrays, before):
             assert p.data is a  # never swapped out and restored
             assert a.tobytes() == data
+
+
+class TestSimulate:
+    def _reference(self, drift, h, cfg, rng, record_idx):
+        # one draw per step on the caller's thread
+        out = {0: h} if 0 in record_idx else {}
+        for j in range(cfg.steps):
+            dw = rng.standard_normal(h.shape[-3:]) * np.sqrt(cfg.dt)
+            h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
+            if j + 1 in record_idx:
+                out[j + 1] = h
+        return out
+
+    @pytest.mark.parametrize("seed, steps, lead", [(0, 5, ()), (3, 7, (2,))])
+    def test_equals_per_step_draws(self, seed, steps, lead):
+        g = make_graph()
+        m = small_model(g, hidden=2, steps=steps, g=0.8)
+        drift = _batched_drift(m, g)
+        rng = np.random.Generator(np.random.PCG64(seed + 100))
+        h = rng.standard_normal(lead + (6, g.n, m.hidden))
+        runs = []
+        for simulate in (self._reference, _simulate):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            runs.append((simulate(drift, h, m.sde_config, rng, range(steps + 1)),
+                         rng.bit_generator.state))
+        (ref, ref_state), (got, got_state) = runs
+        assert ref.keys() == got.keys()
+        for j in ref:
+            assert np.array_equal(ref[j], got[j])
+        assert got_state == ref_state
+
+    def test_no_thread_outlives_a_raising_drift(self):
+        cfg = SDEConfig(steps=6)
+        calls = []
+
+        def raising(h, t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("drift failed")
+            return -h
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="drift failed"):
+            _simulate(raising, np.zeros((50, 4, 2)), cfg,
+                      np.random.Generator(np.random.PCG64(0)), {cfg.steps})
+        assert threading.active_count() == before
 
 
 class TestLemma2:
