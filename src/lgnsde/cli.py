@@ -133,15 +133,15 @@ def build_model(cfg, graph):
                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
 
 
-def run_training(cfg, model, graph, ckpt, val_ignore=None):
+def run_training(command, cfg, model, graph, ckpt, val_ignore=None):
     """train_model with the configured settings, then save the model to
-    `ckpt`; one stderr line if it diverged."""
+    `ckpt`; one stderr line naming `command` if it diverged."""
     log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
                       val_ignore=val_ignore, kl_weight=cfg.kl_weight,
                       verbose=True)
     if log.diverged:
-        print(f"diverged: training stopped in epoch {len(log.epochs)}, "
+        print(f"diverged: {command}: training stopped in epoch {len(log.epochs)}, "
               f"the best parameters were kept", file=sys.stderr)
     model.save(ckpt)
     # basename only: keeps runlog.json byte-identical across output dirs
@@ -166,7 +166,7 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = load_dataset(cfg)
     model = build_model(cfg, graph)
-    log = run_training(cfg, model, graph, os.path.join(out, "model.npz"))
+    log = run_training("train", cfg, model, graph, os.path.join(out, "model.npz"))
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     _write_json(os.path.join(out, "runlog.json"), asdict(log))
     report.to_json(os.path.join(out, "eval.json"))
@@ -205,7 +205,7 @@ def cmd_ood(cfg, out):
     graph = load_dataset(cfg)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    log = run_training(cfg, model, view, os.path.join(out, "model_ood.npz"),
+    log = run_training("ood", cfg, model, view, os.path.join(out, "model_ood.npz"),
                        val_ignore=is_ood)
     probs = model.predict(view, master_seed=cfg.seed)
     test = np.asarray(view.test_mask, dtype=bool)
@@ -298,7 +298,7 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivergedError, FloatingPointError) as e:
-        print(f"diverged: {e}", file=sys.stderr)
+        print(f"diverged: {args.command}: {e}", file=sys.stderr)
         return 1
 
 

@@ -116,8 +116,9 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
     """
     if k1 is None:
         k1 = drift_fn(h, t)
-    k2 = drift_fn(h + k1 * dt + g * dw, t + dt)
-    return h + (k1 + k2) * (dt / 2.0) + g * dw
+    noise = g * dw
+    k2 = drift_fn(h + k1 * dt + noise, t + dt)
+    return h + (k1 + k2) * (dt / 2.0) + noise
 
 
 def integrate(h0, posterior_drift, prior_drift, config, increments):
@@ -127,7 +128,8 @@ def integrate(h0, posterior_drift, prior_drift, config, increments):
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
     posterior drift parameters. With no prior drift (prediction) the KL is
-    not computed and is None.
+    not computed and is None. A FloatingPointError in step j (raised under
+    ``np.errstate(all="raise")``) is raised as a DivergedError naming j.
     """
     want = (config.steps,) + h0.data.shape
     if increments.shape != want:
@@ -140,14 +142,17 @@ def integrate(h0, posterior_drift, prior_drift, config, increments):
     for j in range(config.steps):
         t = config.t0 + j * dt
         dw = increments[j]
-        f_post = posterior_drift(h, t)
-        if kl is not None:
-            v = (f_post - prior_drift(h, t)) * (1.0 / g)
-            kl = kl + tensor_sum(v * v) * (0.5 * dt)
-        if config.scheme == "em":
-            h = em_step(h, f_post, g, dw, dt)
-        else:
-            h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
+        try:
+            f_post = posterior_drift(h, t)
+            if kl is not None:
+                v = (f_post - prior_drift(h, t)) * (1.0 / g)
+                kl = kl + tensor_sum(v * v) * (0.5 * dt)
+            if config.scheme == "em":
+                h = em_step(h, f_post, g, dw, dt)
+            else:
+                h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
+        except FloatingPointError as e:
+            raise DivergedError(f"integration diverged at step {j}: {e}") from e
         if not np.all(np.isfinite(h.data)):
             raise DivergedError(f"integration diverged at step {j}")
     return h, kl

@@ -3,12 +3,17 @@ Lipschitz estimation, residual-network equivalence, finite-difference
 gradient checking.
 
 Monte-Carlo runs here keep their states as ndarrays of shape (..., n, d)
-and evaluate the model's one drift closure on all of them at once:
-``_batched_drift`` hands the stack to it as a single node-major Tensor
+and evaluate the model's one drift closure on many of them at once:
+``_batched_drift`` hands a stack to it as a single node-major Tensor
 under ``no_grad``. Both lemma checks advance their ensembles with one
-Euler-Maruyama loop, ``_simulate``, which takes the drift as an argument;
-the zero-drift control of lemma 1 passes a drift of 0 and never evaluates
-(or touches) the model's GCN.
+Euler-Maruyama loop, ``_simulate``, which takes the drift as an argument
+and shows the ensemble to an observer after every step. It advances the
+paths in blocks of about 1 MiB, in place, so a 10k-path check holds one
+ensemble, its noise and one block of temporaries, not one ensemble per
+grid step. Lemma 1 reduces a grid row when its step is observed; lemma 2
+keeps a copy of each of its small coupled states. The zero-drift control
+of lemma 1 passes a drift of 0 and never evaluates (or touches) the
+model's GCN.
 """
 
 import csv
@@ -19,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
-from .sde import drawn_ahead, em_step, integrate
+from .sde import DivergedError, drawn_ahead, em_step, integrate
 
 
 @dataclass
@@ -143,21 +148,49 @@ def estimate_lipschitz(model, graph, samples=200, seed=0):
 
 # ---------------------------------------------------------------- lemma 1
 
-def _simulate(drift, h, cfg, rng, record_idx):
+# _simulate advances paths in blocks of at least this many state values
+# (1 MiB of float64); its docstring says why the results stay bitwise equal.
+_BLOCK_VALUES = 2 ** 17
+
+
+def _simulate(drift, h, cfg, rng, observe):
     """Euler-Maruyama on an ndarray ensemble h of shape (..., paths, n, d).
+
+    Calls ``observe(j, states)`` with `h` at step 0 and with the ensemble
+    after each step j. A state is valid only during its call: the next step
+    is written over it, so an observer that keeps one keeps a copy.
 
     Each step draws one (paths, n, d) noise array from `rng`, shared
     across any leading axes so stacked copies of an ensemble stay coupled;
-    the next step's array is drawn on a helper thread meanwhile. Returns
-    {step: states} for the steps in `record_idx` (step 0 is `h`).
+    the next step's array is drawn on a helper thread meanwhile. The drift
+    and the update then run one block of paths at a time. A block takes
+    ``_BLOCK_VALUES // values-per-path`` paths and the last also takes the
+    remainder, so each holds at least ``_BLOCK_VALUES`` values or is the
+    whole ensemble. That gives the same bits as one block: the drift's
+    sparse product treats every column on its own, tanh and the adds act
+    element by element, and a dgemm gives the same bits for a subset of its
+    rows while both calls stay above M*N*K = 1e6, below which OpenBLAS's
+    small-matrix kernel rounds differently once K >= 16. With 2^17 values a
+    block, every product with K >= 8 stays above that size.
+
+    A FloatingPointError in step j is raised as a DivergedError naming j.
     """
-    out = {0: h} if 0 in record_idx else {}
+    observe(0, h)
+    paths = h.shape[-3]
+    per_block = max(1, _BLOCK_VALUES * paths // h.size)
+    edges = [k * per_block for k in range(max(1, paths // per_block))] + [paths]
+    blocks = [np.s_[..., a:b, :, :] for a, b in zip(edges, edges[1:])]
+    state = np.empty(h.shape)
     with drawn_ahead(itertools.repeat(rng, cfg.steps), h.shape[-3:], cfg.dt) as noise:
         for j, dw in enumerate(noise):
-            h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
-            if j + 1 in record_idx:
-                out[j + 1] = h
-    return out
+            t = cfg.t0 + j * cfg.dt
+            try:
+                for blk in blocks:
+                    state[blk] = em_step(h[blk], drift(h[blk], t), cfg.g, dw[blk], cfg.dt)
+            except FloatingPointError as e:
+                raise DivergedError(f"integration diverged at step {j}: {e}") from e
+            h = state
+            observe(j + 1, h)
 
 
 def _sum_variance(states_3d):
@@ -179,17 +212,17 @@ def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
     cfg = model.sde_config
     drift = (lambda h, t: 0.0) if zero_drift else _batched_drift(model, graph)
     h0 = _eval_h0(model, graph)
-    idx = np.unique(np.linspace(1, cfg.steps, grid_points).round().astype(int))
-    states = _simulate(drift, np.broadcast_to(h0, (mc,) + h0.shape), cfg,
-                       np.random.Generator(np.random.PCG64(seed)),
-                       set(idx.tolist()))
+    grid = set(np.linspace(1, cfg.steps, grid_points).round().astype(int).tolist())
     l_h = spectral_norm(model.W_dec.data)
     slack = 3.0 / np.sqrt(mc)
     w, b = model.W_dec.data, model.b_dec.data
     rows = []
-    for j in idx:
+
+    def observe(j, h):
+        """One grid row from the ensemble at step j."""
+        if j not in grid:
+            return
         t = cfg.t0 + j * cfg.dt
-        h = states[j]
         var_h = _sum_variance(h)
         var_y = _sum_variance(h @ w + b)
         diff_bound = cfg.g ** 2 * (t - cfg.t0) * graph.n * model.hidden
@@ -202,6 +235,9 @@ def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
             "diffusion_bound": diff_bound * (1.0 + slack),
             "diffusion_pass": bool(var_h <= diff_bound * (1.0 + slack)),
         })
+
+    _simulate(drift, np.broadcast_to(h0, (mc,) + h0.shape), cfg,
+              np.random.Generator(np.random.PCG64(seed)), observe)
     return {"L_h": l_h, "mc": mc, "slack": slack, "zero_drift": zero_drift,
             "grid": rows, "pass": all(r["output_pass"] for r in rows)}
 
@@ -226,9 +262,9 @@ def lemma2_check(model, graph, spec, lips=None):
     dirs = np.stack([d / np.linalg.norm(d)
                      for d in rng.standard_normal((spec.trials,) + h0.shape)])
     # one (2, trials, n, d) ensemble: base and perturbed paths, same noise
-    states = _simulate(drift, np.stack([np.broadcast_to(h0, dirs.shape),
-                                        h0 + spec.epsilon * dirs]),
-                       cfg, rng, range(cfg.steps + 1))
+    states = []
+    _simulate(drift, np.stack([np.broadcast_to(h0, dirs.shape), h0 + spec.epsilon * dirs]),
+              cfg, rng, lambda j, h: states.append(h.copy()))
 
     def gap(pair):
         """Per-trial Frobenius norm of perturbed minus base."""

@@ -199,8 +199,26 @@ class TestExitCodes:
                               capture_output=True, text=True, env=env, timeout=120)
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
-        assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
+        assert len(err) == 1 and err[0].startswith("diverged: eval: "), proc.stderr
         assert not (tmp_path / "out" / "eval.json").exists()
+
+    def test_eval_solver_overflow_names_the_step(self, tmp_path):
+        # the encoder is finite; the drift's second product overflows in the
+        # first solver step of the first MC sample
+        model = LGNSDEModel(d_in=6, num_classes=3, hidden=8)
+        model.W2.data[:] = 1e308
+        model.save(tmp_path / "model.npz")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "eval",
+                               "--config", write_cfg(tmp_path), "--out",
+                               str(tmp_path / "out"), "--checkpoint",
+                               str(tmp_path / "model.npz")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [
+            "diverged: eval: integration diverged at step 0: "
+            "overflow encountered in matmul"], proc.stderr
 
     @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
                                         {"mc_samples": 2.5}, {"prior_mu": None}],
@@ -310,7 +328,7 @@ class TestExitCodes:
                               capture_output=True, text=True, env=env, timeout=120)
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
-        assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
+        assert len(err) == 1 and err[0].startswith(f"diverged: {command}: "), proc.stderr
 
 
 class TestGenerate:

@@ -227,6 +227,17 @@ class TestIntegrate:
         with pytest.raises(DivergedError, match="step 0"):
             integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path.increments)
 
+    # SRK evaluates the drift a second time inside step 0, where it overflows
+    @pytest.mark.parametrize("scheme, step", [("em", 1), ("srk", 0)])
+    def test_floating_point_error_names_the_step(self, scheme, step):
+        cfg = SDEConfig(steps=4, g=1.0, scheme=scheme)
+        path = BrownianPath(0, 4, 1, 1)
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match=f"^integration diverged at step {step}: overflow") as e:
+            integrate(Tensor(np.ones((1, 1))), lambda h, t: h * 1e300, None, cfg,
+                      path.increments)
+        assert isinstance(e.value.__cause__, FloatingPointError)
+
     def test_path_config_mismatch(self):
         cfg = SDEConfig(steps=4)
         path = BrownianPath(0, 8, 1, 1)

@@ -1,11 +1,15 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lgnsde import autodiff as ad
+from lgnsde import verify
 from lgnsde.autodiff import Tensor
-from lgnsde.sde import BrownianPath, SDEConfig, em_step
+from lgnsde.graphdata import sbm_generate
+from lgnsde.model import LGNSDEModel
+from lgnsde.sde import BrownianPath, DivergedError, SDEConfig, em_step
 from lgnsde.verify import (LipschitzEstimates, PerturbationSpec,
                            _batched_drift, _jacobian_norm, _simulate,
                            elbo_gradient_check, estimate_lipschitz,
@@ -157,6 +161,23 @@ class TestLemma1:
         out = lemma1_check(m, g, mc=1_000, seed=0, zero_drift=True)
         assert all(row["diffusion_pass"] for row in out["grid"])
 
+    def test_peak_is_a_few_ensembles(self):
+        # the ensemble, its two noise buffers and the variance's temporary;
+        # holding a state per grid step peaked at 13.3 and 12.0 ensembles
+        g = sbm_generate(3, 12, 0.3, 0.03, 8, 2.0, seed=0)
+        m = LGNSDEModel(g.d_in, g.num_classes, hidden=8, steps=16, seed=0)
+        mc = 2000
+        ensemble = mc * g.n * m.hidden * 8
+        for zero_drift in (False, True):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                lemma1_check(m, g, mc=mc, seed=0, zero_drift=zero_drift)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * ensemble, (zero_drift, peak / ensemble)
+
     def test_zero_drift_leaves_parameters_unchanged(self):
         g = make_graph()
         m = small_model(g, hidden=3, seed=5)
@@ -169,15 +190,22 @@ class TestLemma1:
 
 
 class TestSimulate:
-    def _reference(self, drift, h, cfg, rng, record_idx):
-        # one draw per step on the caller's thread
-        out = {0: h} if 0 in record_idx else {}
+    def _reference(self, drift, h, cfg, rng, observe):
+        # one draw per step on the caller's thread, the whole ensemble at once
+        observe(0, h)
         for j in range(cfg.steps):
             dw = rng.standard_normal(h.shape[-3:]) * np.sqrt(cfg.dt)
             h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
-            if j + 1 in record_idx:
-                out[j + 1] = h
-        return out
+            observe(j + 1, h)
+
+    @staticmethod
+    def _observed(simulate, drift, h, cfg, seed):
+        """Copies of the states `simulate` shows its observer, by step, and
+        the rng state after the run."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        states = {}
+        simulate(drift, h, cfg, rng, lambda j, s: states.__setitem__(j, s.copy()))
+        return states, rng.bit_generator.state
 
     @pytest.mark.parametrize("seed, steps, lead", [(0, 5, ()), (3, 7, (2,))])
     def test_equals_per_step_draws(self, seed, steps, lead):
@@ -188,14 +216,58 @@ class TestSimulate:
         h = rng.standard_normal(lead + (6, g.n, m.hidden))
         runs = []
         for simulate in (self._reference, _simulate):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            runs.append((simulate(drift, h, m.sde_config, rng, range(steps + 1)),
-                         rng.bit_generator.state))
+            runs.append(self._observed(simulate, drift, h, m.sde_config, seed))
         (ref, ref_state), (got, got_state) = runs
         assert ref.keys() == got.keys()
         for j in ref:
             assert np.array_equal(ref[j], got[j])
         assert got_state == ref_state
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_blocks_equal_one_block(self, monkeypatch, lead):
+        # blocks of 7 paths against 50: six of 7, and the last takes 8
+        g = make_graph()
+        m = small_model(g, hidden=2, steps=5, g=0.8)
+        drift = _batched_drift(m, g)
+        h = np.random.Generator(np.random.PCG64(1)).standard_normal(
+            lead + (50, g.n, m.hidden))
+        runs = []
+        for values in (h.size, 7 * h.size // 50):
+            monkeypatch.setattr(verify, "_BLOCK_VALUES", values)
+            runs.append(self._observed(_simulate, drift, h, m.sde_config, 2))
+        (one, one_state), (blocked, blocked_state) = runs
+        assert one.keys() == blocked.keys() == set(range(6))
+        for j in one:
+            assert np.array_equal(one[j], blocked[j])
+        assert blocked_state == one_state
+
+    def test_default_blocks_equal_one_block_on_wide_products(self, monkeypatch):
+        # hidden 17: the drift's products have K = 18 and 17, where a dgemm
+        # below OpenBLAS's small-matrix cut rounds differently from a large
+        # one; the default blocks (856 and 1144 paths) stay above the cut
+        g = make_graph()
+        m = small_model(g, hidden=17, steps=3, g=0.8)
+        drift = _batched_drift(m, g)
+        h = np.random.Generator(np.random.PCG64(1)).standard_normal(
+            (2000, g.n, m.hidden))
+        blocked = self._observed(_simulate, drift, h, m.sde_config, 2)
+        monkeypatch.setattr(verify, "_BLOCK_VALUES", h.size)
+        one = self._observed(_simulate, drift, h, m.sde_config, 2)
+        for j in one[0]:
+            assert np.array_equal(one[0][j], blocked[0][j])
+        assert blocked[1] == one[1]
+
+    def test_floating_point_error_names_the_step(self):
+        cfg = SDEConfig(steps=6)
+
+        def drift(h, t):
+            return h * 1e300
+
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match="^integration diverged at step 1: overflow") as e:
+            _simulate(drift, np.ones((50, 4, 2)), cfg,
+                      np.random.Generator(np.random.PCG64(0)), lambda j, h: None)
+        assert isinstance(e.value.__cause__, FloatingPointError)
 
     def test_no_thread_outlives_a_raising_drift(self):
         cfg = SDEConfig(steps=6)
@@ -210,7 +282,7 @@ class TestSimulate:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="drift failed"):
             _simulate(raising, np.zeros((50, 4, 2)), cfg,
-                      np.random.Generator(np.random.PCG64(0)), {cfg.steps})
+                      np.random.Generator(np.random.PCG64(0)), lambda j, h: None)
         assert threading.active_count() == before
 
 
