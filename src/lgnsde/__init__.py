@@ -12,8 +12,7 @@ from .model import LGNSDEModel
 from .sde import (BrownianPath, DivergedError, SDEConfig, em_step, integrate,
                   srk_step)
 from .train import RunLog, test_report, train_model
-from .verify import (LipschitzEstimates, PerturbationSpec,
-                     elbo_gradient_check, estimate_lipschitz, lemma1_check,
+from .verify import (elbo_gradient_check, estimate_lipschitz, lemma1_check,
                      lemma2_check, resnet_equivalence, spectral_norm)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,40 +10,21 @@ Euler-Maruyama loop, ``_simulate``, which takes the drift as an argument
 and shows the ensemble to an observer after every step. It advances the
 paths in blocks of about 1 MiB, in place, so a 10k-path check holds one
 ensemble, its noise and one block of temporaries, not one ensemble per
-grid step. Lemma 1 reduces a grid row when its step is observed; lemma 2
-keeps a copy of each of its small coupled states. The zero-drift control
-of lemma 1 passes a drift of 0 and never evaluates (or touches) the
-model's GCN.
+grid step. Both lemmas reduce a grid row when its step is observed, and
+lemma 2 reads its realized Lipschitz ratios off the loop's own drift
+calls. The zero-drift control of lemma 1 passes a drift of 0 and never
+evaluates (or touches) the model's GCN.
 """
 
 import csv
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
 from .sde import DivergedError, drawn_ahead, em_step, integrate
-
-
-@dataclass
-class LipschitzEstimates:
-    L_f: float
-    L_g: float
-    L_h: float
-
-
-@dataclass
-class PerturbationSpec:
-    epsilon: float = 1e-2
-    trials: int = 50
-    grid_points: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 def spectral_norm(mat):
@@ -106,12 +87,12 @@ def _jacobian_norm(drift, h, t):
 
 
 def estimate_lipschitz(model, graph, samples=200, seed=0):
-    """Empirical Lipschitz constants of drift, diffusion and decoder.
+    """Empirical Lipschitz constant L_f of the posterior drift, a float.
 
-    L_f combines random-pair secant ratios with local Jacobian-norm power
+    It combines random-pair secant ratios with local Jacobian-norm power
     iterations around states sampled at spread max(1, max|H(t0)|), maximized
-    over 5 evenly spaced times. L_g is 0 (constant diffusion) and L_h is
-    the decoder's exact spectral norm.
+    over 5 evenly spaced times. L_g is 0 for the constant diffusion, and
+    L_h is the decoder's spectral norm, which ``lemma1_check`` reports.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -142,8 +123,7 @@ def estimate_lipschitz(model, graph, samples=200, seed=0):
             h = h0 + sigma * rng.standard_normal(h0.shape)
             for t in times:
                 best = max(best, _jacobian_norm(drift, h, t))
-    return LipschitzEstimates(L_f=best, L_g=0.0,
-                              L_h=spectral_norm(model.W_dec.data))
+    return float(best)
 
 
 # ---------------------------------------------------------------- lemma 1
@@ -193,6 +173,13 @@ def _simulate(drift, h, cfg, rng, observe):
             observe(j + 1, h)
 
 
+def _grid(steps, grid_points):
+    """The steps with a report row: grid_points spread evenly over 1..steps."""
+    if grid_points < 1:
+        raise ValueError("need at least one grid point")
+    return set(np.linspace(1, steps, grid_points).round().astype(int).tolist())
+
+
 def _sum_variance(states_3d):
     """Sum of per-coordinate variances across the path axis (trace form)."""
     return float(states_3d.var(axis=0, ddof=1).sum())
@@ -210,9 +197,9 @@ def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
     if mc < 1000:
         raise ValueError("need at least 1e3 paths")
     cfg = model.sde_config
+    grid = _grid(cfg.steps, grid_points)
     drift = (lambda h, t: 0.0) if zero_drift else _batched_drift(model, graph)
     h0 = _eval_h0(model, graph)
-    grid = set(np.linspace(1, cfg.steps, grid_points).round().astype(int).tolist())
     l_h = spectral_norm(model.W_dec.data)
     slack = 3.0 / np.sqrt(mc)
     w, b = model.W_dec.data, model.b_dec.data
@@ -244,50 +231,57 @@ def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
 
 # ---------------------------------------------------------------- lemma 2
 
-def lemma2_check(model, graph, spec, lips=None):
+def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0,
+                 sampled_lf=None):
     """Coupled-path perturbation bound E||H - H~||_F <= eps * e^{L_f t}.
 
     Both runs share each trial's Brownian increments, so with a constant
-    diffusion the noise cancels exactly and the deviation is drift-driven.
-    L_f is the max of the sampled estimate and the Lipschitz ratios realized
-    along the coupled trajectories (the bound is conditional on L_f being a
-    true upper bound; the report carries both numbers).
+    diffusion the noise cancels exactly (the lemma's L_g^2/2 term is 0) and
+    the deviation is drift-driven. L_f is the max of `sampled_lf` (else
+    ``estimate_lipschitz`` with 100 samples) and the largest ratio
+    ||F - F~|| / ||H - H~|| over the drift calls that advance the paths.
+    The bound holds only if L_f is a true upper bound; the report has both.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
     cfg = model.sde_config
+    grid = _grid(cfg.steps, grid_points)
     drift = _batched_drift(model, graph)
     h0 = _eval_h0(model, graph)
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    if lips is None:
-        lips = estimate_lipschitz(model, graph, samples=100, seed=spec.seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if sampled_lf is None:
+        sampled_lf = estimate_lipschitz(model, graph, samples=100, seed=seed)
     dirs = np.stack([d / np.linalg.norm(d)
-                     for d in rng.standard_normal((spec.trials,) + h0.shape)])
-    # one (2, trials, n, d) ensemble: base and perturbed paths, same noise
-    states = []
-    _simulate(drift, np.stack([np.broadcast_to(h0, dirs.shape), h0 + spec.epsilon * dirs]),
-              cfg, rng, lambda j, h: states.append(h.copy()))
+                     for d in rng.standard_normal((trials,) + h0.shape)])
+    realized_lf = 0.0
+    rows = []
 
     def gap(pair):
         """Per-trial Frobenius norm of perturbed minus base."""
-        return np.linalg.norm((pair[1] - pair[0]).reshape(spec.trials, -1), axis=1)
+        return np.linalg.norm((pair[1] - pair[0]).reshape(pair.shape[1], -1), axis=1)
 
-    realized_lf = 0.0
-    for j in range(cfg.steps):
-        dev = gap(states[j])
-        fdiff = gap(drift(states[j], cfg.t0 + j * cfg.dt))
+    def coupled_drift(h, t):
+        """The drift on a block of coupled pairs; keeps the largest ratio."""
+        nonlocal realized_lf
+        f, dev = drift(h, t), gap(h)
         ok = dev > 0
-        if ok.any():
-            realized_lf = max(realized_lf, float((fdiff[ok] / dev[ok]).max()))
-    l_f = max(lips.L_f, realized_lf)
-    rows = []
-    for j in np.unique(np.linspace(1, cfg.steps, spec.grid_points).round().astype(int)):
-        t = cfg.t0 + j * cfg.dt
-        measured = float(gap(states[j]).mean())
-        bound = spec.epsilon * np.exp((l_f + 0.5 * lips.L_g ** 2) * (t - cfg.t0))
-        rows.append({"t": float(t), "measured": measured, "bound": float(bound),
-                     "pass": bool(measured <= bound * (1.0 + 1e-6))})
-    return {"epsilon": spec.epsilon, "trials": spec.trials,
-            "L_f_sampled": lips.L_f, "L_f_realized": realized_lf, "L_f": l_f,
-            "L_g": lips.L_g, "grid": rows,
+        realized_lf = max(realized_lf, float(np.max(gap(f)[ok] / dev[ok], initial=0.0)))
+        return f
+
+    def observe(j, h):
+        """The measured half of a grid row, from the pairs at step j."""
+        if j in grid:
+            rows.append({"t": float(cfg.t0 + j * cfg.dt), "measured": float(gap(h).mean())})
+
+    # one (2, trials, n, d) ensemble: base and perturbed paths, same noise
+    _simulate(coupled_drift, np.stack([np.broadcast_to(h0, dirs.shape), h0 + epsilon * dirs]),
+              cfg, rng, observe)
+    l_f = max(sampled_lf, realized_lf)
+    for r in rows:
+        r["bound"] = float(epsilon * np.exp(l_f * (r["t"] - cfg.t0)))
+        r["pass"] = r["measured"] <= r["bound"] * (1.0 + 1e-6)
+    return {"epsilon": epsilon, "trials": trials, "L_f_sampled": sampled_lf,
+            "L_f_realized": realized_lf, "L_f": l_f, "grid": rows,
             "pass": all(r["pass"] for r in rows)}
 
 
@@ -367,4 +361,4 @@ def write_report(report, json_path, csv_path):
         cols = sorted(rows[0].keys())
         w.writerow(cols)
         for r in rows:
-            w.writerow([repr(r[c]) if isinstance(r[c], float) else r[c] for c in cols])
+            w.writerow([repr(float(r[c])) if isinstance(r[c], float) else r[c] for c in cols])

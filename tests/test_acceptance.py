@@ -21,8 +21,8 @@ from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath, SDEConfig, em_step, integrate, srk_step
 from lgnsde.train import train_model
 from lgnsde.train import test_report as _test_report
-from lgnsde.verify import (PerturbationSpec, elbo_gradient_check,
-                           lemma1_check, lemma2_check, resnet_equivalence)
+from lgnsde.verify import (elbo_gradient_check, lemma1_check, lemma2_check,
+                           resnet_equivalence)
 from lgnsde.autodiff import Tensor
 
 
@@ -118,7 +118,6 @@ def test_criterion_03_resnet_equivalence(steps):
 def test_criterion_04_lemma2_perturbation_bound():
     g = tiny_graph(0)  # 12 nodes
     assert g.n == 12
-    spec = PerturbationSpec(epsilon=1e-2, trials=50, grid_points=8, seed=3)
     models = {}
     models["untrained"] = LGNSDEModel(g.d_in, g.num_classes, hidden=3,
                                       steps=16, dropout=0.0, seed=0)
@@ -128,7 +127,7 @@ def test_criterion_04_lemma2_perturbation_bound():
     models["trained"] = trained
     violations = {}
     for name, m in models.items():
-        out = lemma2_check(m, g, spec)
+        out = lemma2_check(m, g, epsilon=1e-2, trials=50, grid_points=8, seed=3)
         violations[name] = sum(not r["pass"] for r in out["grid"])
     ok = all(v == 0 for v in violations.values())
     report(4, "coupled-path deviation within exp bound", ok,

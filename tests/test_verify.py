@@ -10,8 +10,7 @@ from lgnsde.autodiff import Tensor
 from lgnsde.graphdata import sbm_generate
 from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath, DivergedError, SDEConfig, em_step
-from lgnsde.verify import (LipschitzEstimates, PerturbationSpec,
-                           _batched_drift, _jacobian_norm, _simulate,
+from lgnsde.verify import (_batched_drift, _jacobian_norm, _simulate,
                            elbo_gradient_check, estimate_lipschitz,
                            lemma1_check, lemma2_check, resnet_equivalence,
                            spectral_norm, write_report)
@@ -41,11 +40,10 @@ class TestSpectralNorm:
 class LinearDriftModel:
     """Stub exposing just what estimate_lipschitz needs: drift H -> H A."""
 
-    def __init__(self, a, n, w_dec):
+    def __init__(self, a, n):
         self.a = a
         self.hidden = a.shape[0]
         self.sde_config = SDEConfig(steps=4)
-        self.W_dec = Tensor(w_dec)
         self._h0 = np.zeros((n, self.hidden))
 
     def posterior_drift_fn(self, graph):
@@ -78,30 +76,20 @@ class TestEstimateLipschitz:
     def test_linear_drift_exact(self):
         rng = np.random.Generator(np.random.PCG64(0))
         a = rng.standard_normal((3, 3))
-        w_dec = rng.standard_normal((3, 2))
-        m = LinearDriftModel(a, n=4, w_dec=w_dec)
+        m = LinearDriftModel(a, n=4)
         est = estimate_lipschitz(m, graph=None, samples=300, seed=1)
         # for F(H) = H A the Frobenius Lipschitz constant is sigma_max(A)
-        assert est.L_f == pytest.approx(spectral_norm(a), rel=1e-2)
-        assert est.L_g == 0.0
-        assert est.L_h == pytest.approx(spectral_norm(w_dec), rel=1e-10)
+        assert type(est) is float
+        assert est == pytest.approx(spectral_norm(a), rel=1e-2)
 
     def test_constant_drift_zero(self):
         class ConstDrift(LinearDriftModel):
             def posterior_drift_fn(self, graph):
                 return lambda h, t: Tensor(np.ones(h.shape))
 
-        m = ConstDrift(np.eye(2), n=3, w_dec=np.eye(2))
+        m = ConstDrift(np.eye(2), n=3)
         est = estimate_lipschitz(m, graph=None, samples=100, seed=0)
-        assert est.L_f == pytest.approx(0.0, abs=1e-8)
-
-    def test_decoder_scaling(self):
-        g = make_graph()
-        m = small_model(g)
-        m.W_dec.data = np.zeros((m.hidden, g.num_classes))
-        m.W_dec.data[:2, :2] = 2.0 * np.eye(2)
-        est = estimate_lipschitz(m, g, samples=50)
-        assert est.L_h == pytest.approx(2.0, rel=1e-10)
+        assert est == pytest.approx(0.0, abs=1e-8)
 
     def test_rejects_too_few_samples(self):
         g = make_graph()
@@ -150,6 +138,12 @@ class TestLemma1:
         g = make_graph()
         with pytest.raises(ValueError):
             lemma1_check(small_model(g), g, mc=10)
+
+    def test_rejects_empty_grid(self):
+        # no rows would make an empty report that passes
+        g = make_graph()
+        with pytest.raises(ValueError, match="grid point"):
+            lemma1_check(small_model(g), g, mc=1_000, grid_points=0)
 
     def test_zero_drift_never_evaluates_drift(self):
         def raising(h, t):
@@ -291,8 +285,7 @@ class TestLemma2:
         # one EM step from coupled starts: deviation stays near epsilon
         g = make_graph()
         m = small_model(g, hidden=2)
-        spec = PerturbationSpec(epsilon=1e-3, trials=20, grid_points=4, seed=0)
-        out = lemma2_check(m, g, spec)
+        out = lemma2_check(m, g, epsilon=1e-3, trials=20, grid_points=4, seed=0)
         assert out["pass"]
         first = out["grid"][0]
         assert first["measured"] == pytest.approx(1e-3, rel=0.5)
@@ -307,11 +300,10 @@ class TestLemma2:
         m.b1.data[:] = 0.0
         m.W2.data[:] = 0.0
         m.b2.data[:] = 0.0
-        spec = PerturbationSpec(epsilon=1e-2, trials=10, grid_points=4, seed=1)
         drift = lambda h, t: h * lam
         m.posterior_drift_fn = lambda graph, rng=None: drift
-        lips = LipschitzEstimates(L_f=lam, L_g=0.0, L_h=1.0)
-        out = lemma2_check(m, g, spec, lips=lips)
+        out = lemma2_check(m, g, epsilon=1e-2, trials=10, grid_points=4, seed=1,
+                           sampled_lf=lam)
         assert out["pass"]
         assert out["L_f"] == pytest.approx(lam, rel=1e-9)
         last = out["grid"][-1]
@@ -322,10 +314,89 @@ class TestLemma2:
     def test_trained_like_model_passes(self):
         g = make_graph(n=12, d=4, c=3, seed=9)
         m = small_model(g, hidden=4, seed=9)
-        spec = PerturbationSpec(epsilon=1e-2, trials=30, grid_points=6, seed=5)
-        out = lemma2_check(m, g, spec)
+        out = lemma2_check(m, g, epsilon=1e-2, trials=30, grid_points=6, seed=5)
         assert out["pass"]
         assert out["L_f"] >= out["L_f_realized"]
+
+    @pytest.mark.parametrize("kw", [dict(grid_points=0), dict(epsilon=0.0)],
+                             ids=["empty_grid", "zero_epsilon"])
+    def test_rejects_empty_grid_and_zero_epsilon(self, kw):
+        g = make_graph()
+        with pytest.raises(ValueError):
+            lemma2_check(small_model(g), g, sampled_lf=1.0, **kw)
+
+    @staticmethod
+    def _counting_drift(monkeypatch):
+        """Patch the batched drift to count its calls; returns the count."""
+        calls = []
+        batched = verify._batched_drift
+
+        def counting(model, graph):
+            drift = batched(model, graph)
+
+            def counted(h, t):
+                calls.append(t)
+                return drift(h, t)
+
+            return counted
+
+        monkeypatch.setattr(verify, "_batched_drift", counting)
+        return calls
+
+    def test_drift_runs_once_per_state(self, monkeypatch):
+        g = make_graph()
+        m = small_model(g, hidden=2, steps=6)
+        calls = self._counting_drift(monkeypatch)
+        lemma2_check(m, g, trials=10, seed=0, sampled_lf=0.0)
+        cfg = m.sde_config
+        assert calls == [cfg.t0 + j * cfg.dt for j in range(cfg.steps)]
+
+    def test_blocks_equal_one_block(self, monkeypatch):
+        # 10 trials in blocks of 3 paths: three blocks, the last takes 4
+        g = make_graph(n=12, d=4, c=3, seed=9)
+        m = small_model(g, hidden=4, seed=9, steps=6)
+        calls = self._counting_drift(monkeypatch)
+        kw = dict(epsilon=1e-2, trials=10, grid_points=6, seed=5, sampled_lf=0.0)
+        one = lemma2_check(m, g, **kw)
+        assert len(calls) == m.sde_config.steps
+        monkeypatch.setattr(verify, "_BLOCK_VALUES", 2 * 3 * g.n * m.hidden)
+        blocked = lemma2_check(m, g, **kw)
+        assert len(calls) == 4 * m.sde_config.steps
+        assert blocked == one
+        assert one["L_f_realized"] > 0.0
+
+    def test_equals_reevaluating_copied_states(self, monkeypatch):
+        # the reference keeps a copy of every coupled state and evaluates
+        # the drift on each a second time
+        g = make_graph(n=12, d=4, c=3, seed=9)
+        m = small_model(g, hidden=4, seed=9, steps=6)
+        states = []
+        simulate = verify._simulate
+
+        def copying(drift, h, cfg, rng, observe):
+            def both(j, s):
+                states.append(s.copy())
+                observe(j, s)
+
+            simulate(drift, h, cfg, rng, both)
+
+        monkeypatch.setattr(verify, "_simulate", copying)
+        out = lemma2_check(m, g, trials=30, grid_points=6, seed=5, sampled_lf=0.0)
+        cfg, drift = m.sde_config, _batched_drift(m, g)
+
+        def gap(pair):
+            return np.linalg.norm((pair[1] - pair[0]).reshape(30, -1), axis=1)
+
+        realized = 0.0
+        for j in range(cfg.steps):
+            dev = gap(states[j])
+            fdiff = gap(drift(states[j], cfg.t0 + j * cfg.dt))
+            ok = dev > 0
+            realized = max(realized, float((fdiff[ok] / dev[ok]).max()))
+        assert out["L_f_realized"] == realized
+        assert out["L_f"] == realized
+        assert [r["measured"] for r in out["grid"]] == [
+            float(gap(states[j]).mean()) for j in range(1, cfg.steps + 1)]
 
 
 class TestResNetEquivalence:
@@ -378,3 +449,9 @@ class TestWriteReport:
         assert blob["pass"] == out["pass"]
         lines = cp.read_text().strip().split("\n")
         assert len(lines) == len(out["grid"]) + 1
+
+    def test_numpy_floats_written_as_plain_floats(self, tmp_path):
+        report = {"grid": [{"a": np.float64(0.5), "b": 0.25, "c": True}]}
+        cp = tmp_path / "r.csv"
+        write_report(report, tmp_path / "r.json", cp)
+        assert cp.read_text().splitlines() == ["a,b,c", "0.5,0.25,True"]
