@@ -13,7 +13,7 @@ from .sde import (BrownianPath, DivergedError, SDEConfig, em_step, integrate,
                   srk_step)
 from .train import RunLog, test_report, train_model
 from .verify import (elbo_gradient_check, estimate_lipschitz, lemma1_check,
-                     lemma2_check, resnet_equivalence, spectral_norm)
+                     lemma2_check, resnet_equivalence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -23,6 +23,8 @@ def test_demo_runs(name):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     if name == "verify_bounds":
+        overall = [ln for ln in proc.stdout.splitlines() if ln.startswith("overall:")]
+        assert overall and all(ln == "overall: PASS" for ln in overall), overall
         last = proc.stdout.strip().splitlines()[-1]
         assert last.startswith("max abs deviation over 16 layers: ")
         assert float(last.rsplit(" ", 1)[1]) < 1e-12
