@@ -102,8 +102,7 @@ def drawn_ahead(rngs, shape, dt):
 
 
 def em_step(h, f, g, dw, dt):
-    """Euler-Maruyama: H + F dt + g dW. Works on Tensors or ndarrays; on
-    ndarray ensembles dW broadcasts over leading axes and F may be 0."""
+    """Euler-Maruyama: H + F dt + g dW, on Tensor states and drifts."""
     return h + f * dt + g * dw
 
 
@@ -121,7 +120,7 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
     return h + (k1 + k2) * (dt / 2.0) + noise
 
 
-def integrate(h0, posterior_drift, prior_drift, config, increments):
+def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None):
     """Advance h0 with the posterior drift driven by the (steps, n, d)
     Wiener `increments`; return (H(t1), KL).
 
@@ -130,6 +129,9 @@ def integrate(h0, posterior_drift, prior_drift, config, increments):
     posterior drift parameters. With no prior drift (prediction) the KL is
     not computed and is None. A FloatingPointError in step j (raised under
     ``np.errstate(all="raise")``) is raised as a DivergedError naming j.
+    With an `observe` callable, ``observe(j + 1, H.data)`` is called after
+    each step j, so a caller can reduce the states on the grid without
+    keeping them (the lemma checks of ``verify`` do).
     """
     want = (config.steps,) + h0.data.shape
     if increments.shape != want:
@@ -155,4 +157,6 @@ def integrate(h0, posterior_drift, prior_drift, config, increments):
             raise DivergedError(f"integration diverged at step {j}: {e}") from e
         if not np.all(np.isfinite(h.data)):
             raise DivergedError(f"integration diverged at step {j}")
+        if observe is not None:
+            observe(j + 1, h.data)
     return h, kl

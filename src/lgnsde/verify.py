@@ -2,58 +2,25 @@
 drift Lipschitz constant, residual-network equivalence, finite-difference
 gradient checking.
 
-Each lemma gate is an exact inequality, so a failure is a bug, not bad
-luck (``lemma1_check`` and ``lemma2_check`` say why each holds). Only the
-diffusion row of lemma 1 is a statistic.
-
-Monte-Carlo runs here keep their states as ndarrays of shape (..., n, d)
-and evaluate the model's one drift closure on many of them at once:
-``_batched_drift`` hands a stack to it as a single node-major Tensor
-under ``no_grad``. Both lemma checks advance their ensembles with one
-Euler-Maruyama loop, ``_simulate``, which takes the drift as an argument
-and shows the ensemble to an observer after every step. It advances the
-paths in blocks of about 1 MiB, in place, so a 10k-path check holds one
-ensemble, its noise and one block of temporaries, not one ensemble per
-grid step. Both lemmas reduce a grid row when its step is observed, and
-lemma 2 reads its realized Lipschitz ratios off the loop's own drift
-calls. The zero-drift control of lemma 1 passes a drift of 0 and never
-evaluates (or touches) the model's GCN.
+The lemma checks verify the model as trained: its drift, integrated by
+``sde.integrate`` with its scheme. Each check stacks its Monte-Carlo paths
+into one node-major (n*B, hidden) batch, row i*B + b being node i of path
+b (the layout ``autodiff.spmm`` takes), integrates it once under
+``no_grad``, and reduces a grid row when ``integrate`` shows it that step.
+Every gate is an exact inequality, so a failure is a bug, not bad luck,
+except the zero-drift control's, an exact chi^2 band at alpha = 1e-6
+(``lemma1_check`` and ``lemma2_check`` say why each holds).
 """
 
 import csv
-import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
+from scipy.stats import chi2
 
 from .autodiff import Tensor, backward, no_grad
-from .sde import DivergedError, drawn_ahead, em_step, integrate
-
-
-def _eval_h0(model, graph):
-    with no_grad():
-        return model.encode(graph).data
-
-
-def _batched_drift(model, graph):
-    """The model's posterior drift on ndarray states of shape (..., n, d).
-
-    The B states (B the product of the leading axes) go to the drift as
-    one (n*B, d) Tensor, node-major as ``autodiff.spmm`` expects, and come
-    back as a view with the input's leading axes.
-    """
-    drift = model.posterior_drift_fn(graph)
-
-    def batched(h, t):
-        n, d = h.shape[-2:]
-        with no_grad():
-            out = drift(Tensor(np.swapaxes(h.reshape(-1, n, d), 0, 1)
-                               .reshape(-1, d)), t).data
-        return np.swapaxes(out.reshape(n, -1, out.shape[-1]), 0, 1).reshape(
-            h.shape[:-1] + (-1,))
-
-    return batched
+from .sde import BrownianPath, integrate
 
 
 def estimate_lipschitz(model):
@@ -70,53 +37,6 @@ def estimate_lipschitz(model):
     return float(np.linalg.norm(w1, 2) * np.linalg.norm(model.W2.data, 2))
 
 
-# ---------------------------------------------------------------- lemma 1
-
-# _simulate advances paths in blocks of at least this many state values
-# (1 MiB of float64); its docstring says why the results stay bitwise equal.
-_BLOCK_VALUES = 2 ** 17
-
-
-def _simulate(drift, h, cfg, rng, observe):
-    """Euler-Maruyama on an ndarray ensemble h of shape (..., paths, n, d).
-
-    Calls ``observe(j, states)`` with `h` at step 0 and with the ensemble
-    after each step j. A state is valid only during its call: the next step
-    is written over it, so an observer that keeps one keeps a copy.
-
-    Each step draws one (paths, n, d) noise array from `rng`, shared
-    across any leading axes so stacked copies of an ensemble stay coupled;
-    the next step's array is drawn on a helper thread meanwhile. The drift
-    and the update then run one block of paths at a time. A block takes
-    ``_BLOCK_VALUES // values-per-path`` paths and the last also takes the
-    remainder, so each holds at least ``_BLOCK_VALUES`` values or is the
-    whole ensemble. That gives the same bits as one block: the drift's
-    sparse product treats every column on its own, tanh and the adds act
-    element by element, and a dgemm gives the same bits for a subset of its
-    rows while both calls stay above M*N*K = 1e6, below which OpenBLAS's
-    small-matrix kernel rounds differently once K >= 16. With 2^17 values a
-    block, every product with K >= 8 stays above that size.
-
-    A FloatingPointError in step j is raised as a DivergedError naming j.
-    """
-    observe(0, h)
-    paths = h.shape[-3]
-    per_block = max(1, _BLOCK_VALUES * paths // h.size)
-    edges = [k * per_block for k in range(max(1, paths // per_block))] + [paths]
-    blocks = [np.s_[..., a:b, :, :] for a, b in zip(edges, edges[1:])]
-    state = np.empty(h.shape)
-    with drawn_ahead(itertools.repeat(rng, cfg.steps), h.shape[-3:], cfg.dt) as noise:
-        for j, dw in enumerate(noise):
-            t = cfg.t0 + j * cfg.dt
-            try:
-                for blk in blocks:
-                    state[blk] = em_step(h[blk], drift(h[blk], t), cfg.g, dw[blk], cfg.dt)
-            except FloatingPointError as e:
-                raise DivergedError(f"integration diverged at step {j}: {e}") from e
-            h = state
-            observe(j + 1, h)
-
-
 def _grid(steps, grid_points):
     """The steps with a report row: grid_points spread evenly over 1..steps."""
     if grid_points < 1:
@@ -124,59 +44,71 @@ def _grid(steps, grid_points):
     return set(np.linspace(1, steps, grid_points).round().astype(int).tolist())
 
 
-def _sum_variance(states_3d):
-    """Sum of per-coordinate variances across the path axis (trace form)."""
-    return float(states_3d.var(axis=0, ddof=1).sum())
+# ---------------------------------------------------------------- lemma 1
 
-
-def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
+def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
                  zero_drift=False):
     """Variance-bound check: Var(y(t)) <= L_h^2 Var(H(t)) on an MC ensemble.
 
-    L_h is the decoder's spectral norm by SVD. The output gate is exact for
-    any path count: var_y is sum_i tr(W^T C_i W) over the per-node sample
-    covariances C_i, each PSD, so var_y <= ||W||_2^2 sum_i tr(C_i) =
-    L_h^2 var_h, and a row passes within a rounding tolerance of 1e-9.
-    Each row also has the bounded-diffusion growth bound g^2 t n h, with a
-    3/sqrt(mc) sampling slack, which is an equality in distribution for
-    zero drift and informational for a trained drift. With `zero_drift`
-    the paths are pure diffusion from H(t0): the drift is 0 and the
-    model's GCN is never evaluated.
+    The mc paths start at H(t0), driven by ``BrownianPath(seed, steps,
+    n*mc, hidden)``; var_h and var_y sum the per-coordinate sample variances
+    across paths of the state and of the decoder output. L_h is the
+    decoder's spectral norm by SVD. The output gate is exact for any path
+    count: var_y is sum_i tr(W^T C_i W) over the per-node sample covariances
+    C_i, each PSD, so var_y <= ||W||_2^2 sum_i tr(C_i) = L_h^2 var_h, and a
+    row passes within a rounding tolerance of 1e-9.
+
+    Each row also has ``diffusion_bound`` = g^2 (t - t0) n h. With
+    `zero_drift` the drift is 0 (the model's GCN is never built), so each
+    coordinate of H(t) is N(h0, g^2 (t - t0)), independent across paths and
+    coordinates, and var_h (mc - 1) / (g^2 (t - t0)) is exactly chi^2 with
+    (mc - 1) n h degrees of freedom. ``diffusion_low`` and
+    ``diffusion_high`` are its quantiles at alpha = 1e-6, split over the
+    grid rows and both tails. ``pass`` needs every ``output_pass``, and
+    for the control every ``diffusion_pass``; for a trained drift the
+    diffusion row is informational.
     """
     if mc < 1000:
         raise ValueError("need at least 1e3 paths")
     cfg = model.sde_config
     grid = _grid(cfg.steps, grid_points)
-    drift = (lambda h, t: 0.0) if zero_drift else _batched_drift(model, graph)
-    h0 = _eval_h0(model, graph)
-    l_h = float(np.linalg.norm(model.W_dec.data, 2))
-    slack = 3.0 / np.sqrt(mc)
+    n, hidden = graph.n, model.hidden
     w, b = model.W_dec.data, model.b_dec.data
+    l_h = float(np.linalg.norm(w, 2))
+    alpha = 1e-6 / len(grid)
+    band = chi2.ppf([alpha / 2, 1 - alpha / 2], (mc - 1) * n * hidden) / (mc - 1)
     rows = []
 
     def observe(j, h):
-        """One grid row from the ensemble at step j."""
+        """One grid row from the (n*mc, hidden) batch at step j."""
         if j not in grid:
             return
         t = cfg.t0 + j * cfg.dt
-        var_h = _sum_variance(h)
-        var_y = _sum_variance(h @ w + b)
+        var_h = float(h.reshape(n, mc, -1).var(axis=1, ddof=1).sum())
+        var_y = float((h @ w + b).reshape(n, mc, -1).var(axis=1, ddof=1).sum())
         out_bound = l_h ** 2 * var_h
-        diff_bound = cfg.g ** 2 * (t - cfg.t0) * graph.n * model.hidden
+        spread = cfg.g ** 2 * (t - cfg.t0)
+        low, high = (float(q) for q in spread * band)
         rows.append({
             "t": float(t),
             "var_h": var_h,
             "var_y": var_y,
             "output_bound": out_bound,
             "output_pass": bool(var_y <= out_bound * (1.0 + 1e-9)),
-            "diffusion_bound": diff_bound * (1.0 + slack),
-            "diffusion_pass": bool(var_h <= diff_bound * (1.0 + slack)),
+            "diffusion_bound": spread * n * hidden,
+            "diffusion_low": low,
+            "diffusion_high": high,
+            "diffusion_pass": low <= var_h <= high,
         })
 
-    _simulate(drift, np.broadcast_to(h0, (mc,) + h0.shape), cfg,
-              np.random.Generator(np.random.PCG64(seed)), observe)
-    return {"L_h": l_h, "mc": mc, "slack": slack, "zero_drift": zero_drift,
-            "grid": rows, "pass": all(r["output_pass"] for r in rows)}
+    drift = (lambda h, t: h * 0.0) if zero_drift else model.posterior_drift_fn(graph)
+    increments = BrownianPath(seed, cfg.steps, n * mc, hidden, cfg.t0, cfg.t1).increments
+    with no_grad():
+        h0 = model.encode(graph).data
+        integrate(Tensor(np.repeat(h0, mc, axis=0)), drift, None, cfg, increments, observe)
+    gates = ("output_pass", "diffusion_pass") if zero_drift else ("output_pass",)
+    return {"L_h": l_h, "mc": mc, "zero_drift": zero_drift, "grid": rows,
+            "pass": all(r[k] for r in rows for k in gates)}
 
 
 # ---------------------------------------------------------------- lemma 2
@@ -184,18 +116,24 @@ def lemma1_check(model, graph, mc=10_000, grid_points=8, seed=0,
 def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     """Coupled-path perturbation bound E||H - H~||_F <= eps * e^{L_f t}.
 
-    Both runs share each trial's Brownian increments, so with a constant
-    diffusion the noise cancels exactly (the lemma's L_g^2/2 term is 0) and
-    the deviation is drift-driven. Two exact statements are gated:
+    Each trial moves H(t0) by eps along a random unit direction. The base
+    and perturbed paths of all trials are one batch, laid out as
+    (n, 2, trials, hidden); a pair shares its trial's increments, so with a
+    constant diffusion the noise cancels exactly (the lemma's L_g^2/2 term
+    is 0). Two exact statements are gated:
 
     - ``certificate_pass``: the realized L_f, the largest ratio
       ||F - F~|| / ||H - H~|| over the drift calls that advance the paths,
       is at most the certified L_f of ``estimate_lipschitz`` (up to 1e-9
-      relative). A ratio above a true Lipschitz constant is impossible.
+      relative), as it is for any true Lipschitz constant.
     - each row's ``pass``: the measured mean gap is at most
       ``realized_bound`` = eps * e^{L_f_realized t} (up to 1e-6 relative).
-      Each Euler-Maruyama step gives gap' <= gap (1 + r dt) <= gap e^{r dt}
-      for its realized ratio r, so a failure is a coupling or solver bug.
+      With r the largest ratio of a step's drift calls, an Euler-Maruyama
+      step gives gap' <= gap (1 + r dt). SRK evaluates K2 at the stage
+      state H + K1 dt + g dW, whose gap is at most gap (1 + r dt), so
+      gap' <= gap + (dt/2)(r gap + r gap (1 + r dt))
+            = gap (1 + r dt + r^2 dt^2 / 2).
+      Both are at most gap e^{r dt}.
 
     Each row also reports ``bound`` = eps * e^{L_f t}, the lemma's own
     statement with the certified L_f. ``pass`` needs the certificate and
@@ -205,24 +143,29 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
         raise ValueError("epsilon must be > 0")
     cfg = model.sde_config
     grid = _grid(cfg.steps, grid_points)
-    drift = _batched_drift(model, graph)
-    h0 = _eval_h0(model, graph)
+    n, hidden = graph.n, model.hidden
+    drift = model.posterior_drift_fn(graph)
     rng = np.random.Generator(np.random.PCG64(seed))
-    dirs = np.stack([d / np.linalg.norm(d)
-                     for d in rng.standard_normal((trials,) + h0.shape)])
+    dirs = rng.standard_normal((n, trials, hidden))
+    dirs /= np.linalg.norm(dirs, axis=(0, 2), keepdims=True)
+    noise = rng.standard_normal((cfg.steps, n, 1, trials, hidden)) * np.sqrt(cfg.dt)
+    increments = np.broadcast_to(noise, (cfg.steps, n, 2, trials, hidden)).reshape(
+        cfg.steps, -1, hidden)
     realized_lf = 0.0
     rows = []
 
-    def gap(pair):
-        """Per-trial Frobenius norm of perturbed minus base."""
-        return np.linalg.norm((pair[1] - pair[0]).reshape(pair.shape[1], -1), axis=1)
+    def gap(x):
+        """Per-trial Frobenius norm of perturbed minus base in a batch."""
+        pairs = x.reshape(n, 2, trials, -1)
+        return np.linalg.norm(pairs[:, 1] - pairs[:, 0], axis=(0, 2))
 
     def coupled_drift(h, t):
-        """The drift on a block of coupled pairs; keeps the largest ratio."""
+        """The drift on the batch of coupled pairs; keeps the largest ratio."""
         nonlocal realized_lf
-        f, dev = drift(h, t), gap(h)
+        f = drift(h, t)
+        dev = gap(h.data)
         ok = dev > 0
-        realized_lf = max(realized_lf, float(np.max(gap(f)[ok] / dev[ok], initial=0.0)))
+        realized_lf = max(realized_lf, float(np.max(gap(f.data)[ok] / dev[ok], initial=0.0)))
         return f
 
     def observe(j, h):
@@ -230,9 +173,11 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
         if j in grid:
             rows.append({"t": float(cfg.t0 + j * cfg.dt), "measured": float(gap(h).mean())})
 
-    # one (2, trials, n, d) ensemble: base and perturbed paths, same noise
-    _simulate(coupled_drift, np.stack([np.broadcast_to(h0, dirs.shape), h0 + epsilon * dirs]),
-              cfg, rng, observe)
+    with no_grad():
+        h0 = model.encode(graph).data[:, None]
+        start = np.stack([np.broadcast_to(h0, dirs.shape), h0 + epsilon * dirs], axis=1)
+        integrate(Tensor(start.reshape(-1, hidden)), coupled_drift, None, cfg,
+                  increments, observe)
     l_f = estimate_lipschitz(model)
     for r in rows:
         elapsed = r["t"] - cfg.t0

@@ -216,6 +216,22 @@ class TestIntegrate:
         denom = np.maximum(np.abs(fd), 1e-4)
         assert (np.abs(w.grad - fd) / denom).max() < 1e-4
 
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_observer_sees_the_states_of_shorter_runs(self, scheme):
+        # dt = 1/8 is dyadic, so the run to t0 + j dt has the same grid
+        cfg, path, h0 = self._setup(steps=8, scheme=scheme)
+        drift = lambda h, t: ad.tanh(h) * (0.5 - t)
+        seen = {}
+        h1, _ = integrate(h0, drift, None, cfg, path.increments,
+                          lambda j, h: seen.__setitem__(j, h.copy()))
+        assert sorted(seen) == list(range(1, 9))
+        assert np.array_equal(seen[8], h1.data)
+        for j in range(1, 8):
+            short = SDEConfig(t1=j * cfg.dt, steps=j, scheme=scheme)
+            assert short.dt == cfg.dt
+            hj, _ = integrate(h0, drift, None, short, path.increments[:j])
+            assert np.array_equal(seen[j], hj.data)
+
     def test_diverged_names_step(self):
         cfg = SDEConfig(steps=4, g=1.0, scheme="em")
         path = BrownianPath(0, 4, 1, 1)

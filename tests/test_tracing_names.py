@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps lgnsde functions by
 name. Deleting or renaming one of them must fail this suite, not only the
 benchmark run. The tracer keeps one span stack and assumes one thread, so
-the helper thread that draws Brownian noise must call nothing it wraps."""
+the helper thread on which predict draws Brownian noise must call nothing
+it wraps."""
 
 import importlib.util
 import sys
@@ -57,7 +58,9 @@ def test_tracer_installs_records_and_restores(tmp_path):
 
 def test_spans_nest_while_noise_is_drawn_ahead():
     # a span recorded from a second thread would overlap a sibling or stick
-    # out of its parent; a short switch interval makes threads interleave
+    # out of its parent; a short switch interval makes threads interleave.
+    # predict draws its paths ahead; lemma 1 runs the same solver and drift
+    # on one batch, so their spans must nest under verify.lemma1
     graph = graphdata.make_splits(graphdata.sbm_generate(3, 4, 0.3, 0.03, 4, 2.0, seed=0),
                                   graphdata.SplitSpec(seed=0, train_frac=0.4, val_frac=0.3))
     m = model.LGNSDEModel(graph.d_in, graph.num_classes, hidden=4, steps=3, seed=0)
@@ -73,6 +76,14 @@ def test_spans_nest_while_noise_is_drawn_ahead():
         sys.setswitchinterval(interval)
     spans = recorder.spans
     assert {"sde.integrate", "model.drift", "verify.lemma1"} <= {s[0] for s in spans}
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+
+    in_lemma1 = {s[0] for s in spans if "verify.lemma1" in ancestors(s)}
+    assert {"sde.integrate", "model.drift"} <= in_lemma1
     last_end = {}  # parent index -> end of its latest child
     for name, start, end, parent, *_ in spans:
         assert start <= end

@@ -1,17 +1,16 @@
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lgnsde import verify
-from lgnsde.autodiff import SparseMatrix
+from lgnsde.autodiff import SparseMatrix, Tensor, no_grad
 from lgnsde.graphdata import sbm_generate
 from lgnsde.model import LGNSDEModel
-from lgnsde.sde import BrownianPath, DivergedError, SDEConfig, em_step
-from lgnsde.verify import (_batched_drift, _simulate, elbo_gradient_check,
-                           estimate_lipschitz, lemma1_check, lemma2_check,
-                           resnet_equivalence, write_report)
+from lgnsde.sde import BrownianPath, DivergedError
+from lgnsde.verify import (elbo_gradient_check, estimate_lipschitz,
+                           lemma1_check, lemma2_check, resnet_equivalence,
+                           write_report)
 from tests.test_model import make_graph, small_model
 
 
@@ -23,7 +22,14 @@ class TestEstimateLipschitz:
         g = make_graph()
         m = small_model(g, hidden=3, seed=seed)
         l_f = estimate_lipschitz(m)
-        drift = _batched_drift(m, g)
+        tensor_drift = m.posterior_drift_fn(g)
+
+        def drift(h, t):
+            # a (B, n, d) stack goes in node-major, as (n*B, d)
+            with no_grad():
+                out = tensor_drift(Tensor(np.swapaxes(h, 0, 1).reshape(-1, m.hidden)), t).data
+            return np.swapaxes(out.reshape(g.n, len(h), -1), 0, 1)
+
         rng = np.random.Generator(np.random.PCG64(seed))
         shape = (g.n, m.hidden)
         for _ in range(200):
@@ -72,8 +78,28 @@ class TestLemma1:
         assert out["pass"]
         for row in out["grid"]:
             expect = 0.7 ** 2 * row["t"] * g.n * m.hidden
+            assert row["diffusion_bound"] == pytest.approx(expect, rel=1e-12)
+            assert row["diffusion_low"] < expect < row["diffusion_high"]
             assert row["var_h"] == pytest.approx(expect, rel=0.05)
             assert row["diffusion_pass"]
+
+    @pytest.mark.parametrize("scale", [0.7, 1.3])
+    def test_control_gate_catches_scaled_noise(self, monkeypatch, scale):
+        # noise scaled by 0.7 or 1.3 scales the control's variance by 0.49 or
+        # 1.69: far outside the band, and invisible to the output gate
+        integrate = verify.integrate
+
+        def scaled(h0, drift, prior, cfg, increments, observe):
+            return integrate(h0, drift, prior, cfg, increments * scale, observe)
+
+        g = make_graph()
+        m = small_model(g, hidden=2)
+        assert lemma1_check(m, g, seed=0, zero_drift=True)["pass"]
+        monkeypatch.setattr(verify, "integrate", scaled)
+        out = lemma1_check(m, g, seed=0, zero_drift=True)
+        assert not any(row["diffusion_pass"] for row in out["grid"])
+        assert all(row["output_pass"] for row in out["grid"])
+        assert not out["pass"]
 
     def test_output_bound_holds_with_trained_drift(self):
         g = make_graph()
@@ -131,12 +157,14 @@ class TestLemma1:
         g = make_graph()
         m = small_model(g, hidden=2)
         m.posterior_drift_fn = lambda graph, rng=None: raising
-        out = lemma1_check(m, g, mc=1_000, seed=0, zero_drift=True)
-        assert all(row["diffusion_pass"] for row in out["grid"])
+        out = lemma1_check(m, g, seed=0, zero_drift=True)
+        assert out["pass"]
 
     def test_peak_is_a_few_ensembles(self):
-        # the ensemble, its two noise buffers and the variance's temporary;
-        # holding a state per grid step peaked at 13.3 and 12.0 ensembles
+        # the batch is integrated with one (steps, n*mc, hidden) increments
+        # array, so the peak is `steps` ensembles of noise plus the state,
+        # the solver's temporaries (two drift evaluations under SRK) and the
+        # variance's: 22.0 to 24.3 ensembles at 16 steps
         g = sbm_generate(3, 12, 0.3, 0.03, 8, 2.0, seed=0)
         m = LGNSDEModel(g.d_in, g.num_classes, hidden=8, steps=16, seed=0)
         mc = 2000
@@ -149,7 +177,22 @@ class TestLemma1:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 6 * ensemble, (zero_drift, peak / ensemble)
+            assert peak <= (m.sde_config.steps + 10) * ensemble, (zero_drift, peak / ensemble)
+
+    # SRK evaluates the drift at t + dt inside step 2, where it overflows
+    @pytest.mark.parametrize("scheme, step", [("em", 3), ("srk", 2)])
+    def test_floating_point_error_names_the_step(self, scheme, step):
+        # one integration over the whole grid, so j counts from t0
+        def late_blowup(h, t):
+            return h * (1e308 if t > 0.6 else 0.0)
+
+        g = make_graph()
+        m = small_model(g, hidden=2, scheme=scheme)
+        m.posterior_drift_fn = lambda graph, rng=None: late_blowup
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match=f"^integration diverged at step {step}: overflow") as e:
+            lemma1_check(m, g, seed=0)
+        assert isinstance(e.value.__cause__, FloatingPointError)
 
     def test_zero_drift_leaves_parameters_unchanged(self):
         g = make_graph()
@@ -160,103 +203,6 @@ class TestLemma1:
         for p, a, data in zip(m.parameters(), arrays, before):
             assert p.data is a  # never swapped out and restored
             assert a.tobytes() == data
-
-
-class TestSimulate:
-    def _reference(self, drift, h, cfg, rng, observe):
-        # one draw per step on the caller's thread, the whole ensemble at once
-        observe(0, h)
-        for j in range(cfg.steps):
-            dw = rng.standard_normal(h.shape[-3:]) * np.sqrt(cfg.dt)
-            h = em_step(h, drift(h, cfg.t0 + j * cfg.dt), cfg.g, dw, cfg.dt)
-            observe(j + 1, h)
-
-    @staticmethod
-    def _observed(simulate, drift, h, cfg, seed):
-        """Copies of the states `simulate` shows its observer, by step, and
-        the rng state after the run."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        states = {}
-        simulate(drift, h, cfg, rng, lambda j, s: states.__setitem__(j, s.copy()))
-        return states, rng.bit_generator.state
-
-    @pytest.mark.parametrize("seed, steps, lead", [(0, 5, ()), (3, 7, (2,))])
-    def test_equals_per_step_draws(self, seed, steps, lead):
-        g = make_graph()
-        m = small_model(g, hidden=2, steps=steps, g=0.8)
-        drift = _batched_drift(m, g)
-        rng = np.random.Generator(np.random.PCG64(seed + 100))
-        h = rng.standard_normal(lead + (6, g.n, m.hidden))
-        runs = []
-        for simulate in (self._reference, _simulate):
-            runs.append(self._observed(simulate, drift, h, m.sde_config, seed))
-        (ref, ref_state), (got, got_state) = runs
-        assert ref.keys() == got.keys()
-        for j in ref:
-            assert np.array_equal(ref[j], got[j])
-        assert got_state == ref_state
-
-    @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_blocks_equal_one_block(self, monkeypatch, lead):
-        # blocks of 7 paths against 50: six of 7, and the last takes 8
-        g = make_graph()
-        m = small_model(g, hidden=2, steps=5, g=0.8)
-        drift = _batched_drift(m, g)
-        h = np.random.Generator(np.random.PCG64(1)).standard_normal(
-            lead + (50, g.n, m.hidden))
-        runs = []
-        for values in (h.size, 7 * h.size // 50):
-            monkeypatch.setattr(verify, "_BLOCK_VALUES", values)
-            runs.append(self._observed(_simulate, drift, h, m.sde_config, 2))
-        (one, one_state), (blocked, blocked_state) = runs
-        assert one.keys() == blocked.keys() == set(range(6))
-        for j in one:
-            assert np.array_equal(one[j], blocked[j])
-        assert blocked_state == one_state
-
-    def test_default_blocks_equal_one_block_on_wide_products(self, monkeypatch):
-        # hidden 17: the drift's products have K = 18 and 17, where a dgemm
-        # below OpenBLAS's small-matrix cut rounds differently from a large
-        # one; the default blocks (856 and 1144 paths) stay above the cut
-        g = make_graph()
-        m = small_model(g, hidden=17, steps=3, g=0.8)
-        drift = _batched_drift(m, g)
-        h = np.random.Generator(np.random.PCG64(1)).standard_normal(
-            (2000, g.n, m.hidden))
-        blocked = self._observed(_simulate, drift, h, m.sde_config, 2)
-        monkeypatch.setattr(verify, "_BLOCK_VALUES", h.size)
-        one = self._observed(_simulate, drift, h, m.sde_config, 2)
-        for j in one[0]:
-            assert np.array_equal(one[0][j], blocked[0][j])
-        assert blocked[1] == one[1]
-
-    def test_floating_point_error_names_the_step(self):
-        cfg = SDEConfig(steps=6)
-
-        def drift(h, t):
-            return h * 1e300
-
-        with np.errstate(all="raise"), pytest.raises(
-                DivergedError, match="^integration diverged at step 1: overflow") as e:
-            _simulate(drift, np.ones((50, 4, 2)), cfg,
-                      np.random.Generator(np.random.PCG64(0)), lambda j, h: None)
-        assert isinstance(e.value.__cause__, FloatingPointError)
-
-    def test_no_thread_outlives_a_raising_drift(self):
-        cfg = SDEConfig(steps=6)
-        calls = []
-
-        def raising(h, t):
-            calls.append(t)
-            if len(calls) == 3:
-                raise RuntimeError("drift failed")
-            return -h
-
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="drift failed"):
-            _simulate(raising, np.zeros((50, 4, 2)), cfg,
-                      np.random.Generator(np.random.PCG64(0)), lambda j, h: None)
-        assert threading.active_count() == before
 
 
 class TestLemma2:
@@ -270,27 +216,27 @@ class TestLemma2:
         assert first["measured"] == pytest.approx(1e-3, rel=0.5)
 
     def test_linear_drift_growth_rate(self, monkeypatch):
-        # drift F(H) = lambda H on a decoupled graph: deviation grows like
-        # eps (1 + lambda dt)^j, and the e^{lambda t} bound dominates it
+        # drift F(H) = lambda H on a decoupled graph: per step the deviation
+        # grows by 1 + lambda dt (EM) or 1 + lambda dt + (lambda dt)^2 / 2
+        # (SRK), and the e^{lambda t} bound dominates both
         g = make_graph(ring=False)
-        m = small_model(g, hidden=2, g=1e-8)
         lam = 0.9
-        m.W1.data[:] = 0.0
-        m.b1.data[:] = 0.0
-        m.W2.data[:] = 0.0
-        m.b2.data[:] = 0.0
         drift = lambda h, t: h * lam
-        m.posterior_drift_fn = lambda graph, rng=None: drift
         # the stub drift is not the GCN the certificate describes
         monkeypatch.setattr(verify, "estimate_lipschitz", lambda model: lam)
-        out = lemma2_check(m, g, epsilon=1e-2, trials=10, grid_points=4, seed=1)
-        assert out["pass"] and out["certificate_pass"]
-        assert out["L_f"] == pytest.approx(lam, rel=1e-9)
-        last = out["grid"][-1]
-        discrete = 1e-2 * (1 + lam * m.sde_config.dt) ** m.sde_config.steps
-        assert last["measured"] == pytest.approx(discrete, rel=1e-6)
-        assert last["realized_bound"] >= last["measured"]
-        assert last["bound"] >= last["measured"]
+        for scheme in ("em", "srk"):
+            m = small_model(g, hidden=2, g=1e-8, scheme=scheme)
+            m.posterior_drift_fn = lambda graph, rng=None: drift
+            out = lemma2_check(m, g, epsilon=1e-2, trials=10, grid_points=4, seed=1)
+            assert out["pass"] and out["certificate_pass"]
+            assert out["L_f_realized"] == pytest.approx(lam, rel=1e-9)
+            last = out["grid"][-1]
+            x = lam * m.sde_config.dt
+            growth = 1 + x if scheme == "em" else 1 + x + x * x / 2
+            discrete = 1e-2 * growth ** m.sde_config.steps
+            assert last["measured"] == pytest.approx(discrete, rel=1e-6), scheme
+            assert last["realized_bound"] >= last["measured"]
+            assert last["bound"] >= last["measured"]
 
     def test_trained_like_model_passes(self):
         g = make_graph(n=12, d=4, c=3, seed=9)
@@ -320,13 +266,13 @@ class TestLemma2:
             lemma2_check(small_model(g), g, **kw)
 
     @staticmethod
-    def _counting_drift(monkeypatch):
-        """Patch the batched drift to count its calls; returns the count."""
+    def _counting_drift(monkeypatch, model):
+        """Patch the model's drift to count its calls; returns the times."""
         calls = []
-        batched = verify._batched_drift
+        drift_fn = model.posterior_drift_fn
 
-        def counting(model, graph):
-            drift = batched(model, graph)
+        def counting(graph, rng=None):
+            drift = drift_fn(graph, rng)
 
             def counted(h, t):
                 calls.append(t)
@@ -334,64 +280,69 @@ class TestLemma2:
 
             return counted
 
-        monkeypatch.setattr(verify, "_batched_drift", counting)
+        monkeypatch.setattr(model, "posterior_drift_fn", counting)
         return calls
 
     def test_drift_runs_once_per_state(self, monkeypatch):
+        # EM evaluates the drift at each step's state, SRK also at its stage
         g = make_graph()
-        m = small_model(g, hidden=2, steps=6)
-        calls = self._counting_drift(monkeypatch)
-        lemma2_check(m, g, trials=10, seed=0)
-        cfg = m.sde_config
-        assert calls == [cfg.t0 + j * cfg.dt for j in range(cfg.steps)]
-
-    def test_blocks_equal_one_block(self, monkeypatch):
-        # 10 trials in blocks of 3 paths: three blocks, the last takes 4
-        g = make_graph(n=12, d=4, c=3, seed=9)
-        m = small_model(g, hidden=4, seed=9, steps=6)
-        calls = self._counting_drift(monkeypatch)
-        kw = dict(epsilon=1e-2, trials=10, grid_points=6, seed=5)
-        one = lemma2_check(m, g, **kw)
-        assert len(calls) == m.sde_config.steps
-        monkeypatch.setattr(verify, "_BLOCK_VALUES", 2 * 3 * g.n * m.hidden)
-        blocked = lemma2_check(m, g, **kw)
-        assert len(calls) == 4 * m.sde_config.steps
-        assert blocked == one
-        assert one["L_f_realized"] > 0.0
+        for scheme in ("em", "srk"):
+            m = small_model(g, hidden=2, steps=6, scheme=scheme)
+            calls = self._counting_drift(monkeypatch, m)
+            lemma2_check(m, g, trials=10, seed=0)
+            cfg = m.sde_config
+            times = [cfg.t0 + j * cfg.dt for j in range(cfg.steps)]
+            if scheme == "srk":
+                times = [s for t in times for s in (t, t + cfg.dt)]
+            assert calls == times
 
     def test_equals_reevaluating_copied_states(self, monkeypatch):
-        # the reference keeps a copy of every coupled state and evaluates
-        # the drift on each a second time
+        # the reference keeps a copy of every coupled state, rebuilds the
+        # SRK stage states and evaluates the drift on each a second time
         g = make_graph(n=12, d=4, c=3, seed=9)
-        m = small_model(g, hidden=4, seed=9, steps=6)
-        states = []
-        simulate = verify._simulate
+        run = {}
+        integrate = verify.integrate
 
-        def copying(drift, h, cfg, rng, observe):
-            def both(j, s):
-                states.append(s.copy())
-                observe(j, s)
+        def copying(h0, drift, prior, cfg, increments, observe):
+            run["states"], run["increments"] = [h0.data.copy()], increments
 
-            simulate(drift, h, cfg, rng, both)
+            def both(j, h):
+                run["states"].append(h.copy())
+                observe(j, h)
 
-        monkeypatch.setattr(verify, "_simulate", copying)
-        out = lemma2_check(m, g, trials=30, grid_points=6, seed=5)
-        cfg, drift = m.sde_config, _batched_drift(m, g)
+            return integrate(h0, drift, prior, cfg, increments, both)
 
-        def gap(pair):
-            return np.linalg.norm((pair[1] - pair[0]).reshape(30, -1), axis=1)
+        def gap(x):
+            pairs = x.reshape(g.n, 2, 30, -1)
+            return np.linalg.norm(pairs[:, 1] - pairs[:, 0], axis=(0, 2))
 
-        realized = 0.0
-        for j in range(cfg.steps):
-            dev = gap(states[j])
-            fdiff = gap(drift(states[j], cfg.t0 + j * cfg.dt))
-            ok = dev > 0
-            realized = max(realized, float((fdiff[ok] / dev[ok]).max()))
-        assert out["L_f_realized"] == realized
-        assert out["L_f"] == estimate_lipschitz(m)
-        assert out["certificate_pass"]
-        assert [r["measured"] for r in out["grid"]] == [
-            float(gap(states[j]).mean()) for j in range(1, cfg.steps + 1)]
+        monkeypatch.setattr(verify, "integrate", copying)
+        for scheme in ("em", "srk"):
+            m = small_model(g, hidden=4, seed=9, steps=6, scheme=scheme)
+            out = lemma2_check(m, g, trials=30, grid_points=6, seed=5)
+            cfg, f = m.sde_config, m.posterior_drift_fn(g)
+
+            def drift(h, t):
+                with no_grad():
+                    return f(Tensor(h), t).data
+
+            def ratio(h, t):
+                dev, fdiff = gap(h), gap(drift(h, t))
+                return float((fdiff[dev > 0] / dev[dev > 0]).max())
+
+            states, realized = run["states"], 0.0
+            for j in range(cfg.steps):
+                t = cfg.t0 + j * cfg.dt
+                realized = max(realized, ratio(states[j], t))
+                if scheme == "srk":
+                    stage = (states[j] + drift(states[j], t) * cfg.dt
+                             + cfg.g * run["increments"][j])
+                    realized = max(realized, ratio(stage, t + cfg.dt))
+            assert out["L_f_realized"] == realized, scheme
+            assert out["L_f"] == estimate_lipschitz(m)
+            assert out["certificate_pass"]
+            assert [r["measured"] for r in out["grid"]] == [
+                float(gap(states[j]).mean()) for j in range(1, cfg.steps + 1)]
 
 
 class TestResNetEquivalence:
