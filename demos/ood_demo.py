@@ -21,7 +21,7 @@ print(f"training on {view.num_classes} classes, "
 
 model = LGNSDEModel(view.d_in, view.num_classes, hidden=16, steps=8, seed=seed)
 train_model(model, view, epochs=60, patience=60, lr=0.01, seed=seed,
-            val_mc=1, val_ignore=is_ood)
+            val_mc=1)
 
 probs = model.predict(view, mc_samples=10, master_seed=seed)
 test = np.asarray(view.test_mask, dtype=bool)

@@ -173,6 +173,7 @@ def load_bundle(path):
             m = np.zeros(n, dtype=bool)
             m[idx] = True
             masks[key] = m
+        _check_scorable(graph.labels[masks["test"]], f"{splits_path}: the 'test' list")
         graph = replace(graph, train_mask=masks["train"],
                         val_mask=masks["val"], test_mask=masks["test"])
     return graph
@@ -314,14 +315,23 @@ def make_splits(graph, spec):
     for name, mask in (("train", train), ("val", val), ("test", test)):
         if not mask.any():
             raise ValueError(f"empty {name} mask")
+    _check_scorable(graph.labels[test], "the test mask")
     return replace(graph, train_mask=train, val_mask=val, test_mask=test)
+
+
+def _check_scorable(test_labels, where):
+    """A test split is scored by micro-AUROC, which needs two classes."""
+    if np.unique(test_labels).size < 2:
+        raise ValueError(f"{where} holds fewer than two classes, so it cannot be scored")
 
 
 def ood_view(graph, ood_class):
     """Relabel for the leave-one-class-out protocol.
 
     Returns (graph over C-1 classes, is_ood flags). Held-out nodes keep a
-    placeholder label 0 and must only be scored through the flags.
+    placeholder label 0, are scored only through the flags and leave the
+    validation mask; a split that then cannot validate or score raises
+    ValueError.
     """
     if not (0 <= ood_class < graph.num_classes):
         raise ValueError(f"ood_class {ood_class} outside [0,{graph.num_classes})")
@@ -331,4 +341,11 @@ def ood_view(graph, ood_class):
         remap[old] = new
     is_ood = graph.labels == ood_class
     labels = np.where(is_ood, 0, remap[graph.labels])
+    if graph.val_mask is not None:
+        graph = replace(graph, val_mask=graph.val_mask & ~is_ood)
+        if not graph.val_mask.any():
+            raise ValueError(f"every validation node is in held-out class {ood_class}")
+        if not (graph.test_mask & is_ood).any():
+            raise ValueError(f"no test node is in held-out class {ood_class}")
+        _check_scorable(labels[graph.test_mask & ~is_ood], "the in-distribution test mask")
     return replace(graph, labels=labels, num_classes=graph.num_classes - 1), is_ood

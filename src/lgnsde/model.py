@@ -7,12 +7,13 @@ independent Brownian samples.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .sde import SDEConfig, drawn_ahead, integrate
+from .sde import DivergedError, SDEConfig, drawn_ahead, integrate
 
 
 def glorot(rng, fan_in, fan_out):
@@ -115,10 +116,10 @@ class LGNSDEModel:
         n_train = int(np.count_nonzero(graph.train_mask))
         return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)
 
-    def elbo(self, graph, path, rng=None):
-        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL;
-        exactly -training_loss with kl_weight = 1."""
-        return -self.training_loss(graph, path, rng, kl_weight=1.0)
+    def elbo(self, graph, path):
+        """log p(Y | H(t1)) summed over train nodes, minus the pathwise KL,
+        with dropout off; exactly -training_loss with kl_weight = 1."""
+        return -self.training_loss(graph, path, kl_weight=1.0)
 
     def predict(self, graph, mc_samples=None, master_seed=0, return_samples=False):
         """MC posterior predictive: average softmax over Brownian samples.
@@ -173,23 +174,28 @@ class LGNSDEModel:
 
     @classmethod
     def load(cls, path):
-        """Rebuild a saved model. A config with a missing, unknown or
-        ill-typed key, or an array of the wrong shape, is a ValueError."""
-        with np.load(path) as z:
-            cfg = json.loads(bytes(z["config"].tobytes()).decode())
-            if not isinstance(cfg, dict) or cfg.pop("version", None) != cls.CHECKPOINT_VERSION:
-                raise ValueError("unsupported checkpoint version")
-            types = cls._config_types
-            bad = sorted(cfg.keys() ^ types.keys()) or [
-                k for k, want in types.items()
-                if isinstance(cfg[k], bool) or not isinstance(cfg[k], want)]
-            if bad:
-                raise ValueError(f"checkpoint config has missing, unknown or "
-                                 f"ill-typed keys: {', '.join(bad)}")
-            model = cls(**cfg)
-            for name in cls._param_names:
-                data, want = z[name], getattr(model, name).data.shape
-                if data.shape != want:
-                    raise ValueError(f"{name} has shape {data.shape}, expected {want}")
-                getattr(model, name).data = data.astype(np.float64)
+        """Rebuild a saved model. A file that does not load as one is a
+        ValueError naming it; a non-finite parameter is a DivergedError."""
+        try:
+            with np.load(path) as z:
+                cfg = json.loads(bytes(z["config"].tobytes()).decode())
+                if not isinstance(cfg, dict) or cfg.pop("version", None) != cls.CHECKPOINT_VERSION:
+                    raise ValueError("unsupported checkpoint version")
+                types = cls._config_types
+                bad = sorted(cfg.keys() ^ types.keys()) or [
+                    k for k, want in types.items()
+                    if isinstance(cfg[k], bool) or not isinstance(cfg[k], want)]
+                if bad:
+                    raise ValueError(f"checkpoint config has missing, unknown or "
+                                     f"ill-typed keys: {', '.join(bad)}")
+                model = cls(**cfg)
+                for name in cls._param_names:
+                    data, want = z[name], getattr(model, name).data.shape
+                    if data.shape != want:
+                        raise ValueError(f"{name} has shape {data.shape}, expected {want}")
+                    getattr(model, name).data = data.astype(np.float64)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+            raise ValueError(f"unreadable checkpoint {str(path)!r}: {e}") from None
+        if not all(np.isfinite(p.data).all() for p in model.parameters()):
+            raise DivergedError(f"checkpoint {str(path)!r} has non-finite parameters")
         return model

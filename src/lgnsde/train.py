@@ -20,12 +20,9 @@ class RunLog:
     checkpoint_path: str = None
 
 
-def _val_metrics(model, graph, val_mc, seed, ignore=None):
+def _val_metrics(model, graph, val_mc, seed):
     probs = model.predict(graph, mc_samples=val_mc, master_seed=seed)
-    mask = np.asarray(graph.val_mask, dtype=bool).copy()
-    if ignore is not None:
-        mask &= ~np.asarray(ignore, dtype=bool)
-    rows = np.nonzero(mask)[0]
+    rows = np.nonzero(graph.val_mask)[0]
     pred = probs[rows].argmax(axis=1)
     acc = float((pred == graph.labels[rows]).mean())
     logp = np.log(np.clip(probs[rows, graph.labels[rows]], 1e-300, None))
@@ -33,12 +30,13 @@ def _val_metrics(model, graph, val_mc, seed, ignore=None):
 
 
 def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
-                val_mc=2, val_ignore=None, kl_weight=None, verbose=False):
+                val_mc=2, kl_weight=None, verbose=False):
     """Maximize the ELBO with Adam; keep the best-validation parameters.
 
     One fresh Brownian path per step realizes the trajectory expectation
-    through SGD. Returns a RunLog; the model ends up holding the
-    best-validation (or last-good, on divergence) parameters.
+    through SGD; early stopping scores all of `graph.val_mask`. Returns a
+    RunLog; the model ends up holding the best-validation (or last-good, on
+    divergence) parameters.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -73,8 +71,7 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
-                val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed,
-                                                val_ignore)
+                val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed)
         except (DivergedError, FloatingPointError):
             log.diverged = True
             break

@@ -73,8 +73,7 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
     cfg = model.sde_config
     grid = _grid(cfg.steps, grid_points)
     n, hidden = graph.n, model.hidden
-    w, b = model.W_dec.data, model.b_dec.data
-    l_h = float(np.linalg.norm(w, 2))
+    l_h = float(np.linalg.norm(model.W_dec.data, 2))
     alpha = 1e-6 / len(grid)
     band = chi2.ppf([alpha / 2, 1 - alpha / 2], (mc - 1) * n * hidden) / (mc - 1)
     rows = []
@@ -85,7 +84,7 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
             return
         t = cfg.t0 + j * cfg.dt
         var_h = float(h.reshape(n, mc, -1).var(axis=1, ddof=1).sum())
-        var_y = float((h @ w + b).reshape(n, mc, -1).var(axis=1, ddof=1).sum())
+        var_y = float(model.decode(Tensor(h)).data.reshape(n, mc, -1).var(axis=1, ddof=1).sum())
         out_bound = l_h ** 2 * var_h
         spread = cfg.g ** 2 * (t - cfg.t0)
         low, high = (float(q) for q in spread * band)

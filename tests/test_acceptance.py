@@ -238,7 +238,7 @@ def test_criterion_09_cora_ood():
         view, is_ood = ood_view(g, seed % g.num_classes)
         m = LGNSDEModel(view.d_in, view.num_classes, hidden=64, steps=16,
                         g=1.0, scheme="srk", dropout=0.2, seed=seed)
-        _train_defaults(m, view, seed, val_ignore=is_ood)
+        _train_defaults(m, view, seed)
         probs = m.predict(view, master_seed=seed)
         test = np.asarray(view.test_mask, dtype=bool)
         rep = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
@@ -259,7 +259,7 @@ def test_criterion_09_synthetic_ood():
         m = LGNSDEModel(view.d_in, view.num_classes, hidden=16, steps=8,
                         seed=seed)
         train_model(m, view, epochs=60, patience=60, lr=0.01, seed=seed,
-                    val_mc=1, val_ignore=is_ood)
+                    val_mc=1)
         probs = m.predict(view, mc_samples=10, master_seed=seed)
         test = np.asarray(view.test_mask, dtype=bool)
         rep = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])

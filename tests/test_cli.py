@@ -34,6 +34,21 @@ patience = 12
 seed = 0
 """
 
+# 3x10 SBM with a fixed-count split; the tests add val_count and test_count
+SPLIT_3X10 = """
+dataset = sbm
+sbm_classes = 3
+sbm_nodes_per_class = 10
+sbm_p_in = 0.3
+sbm_p_out = 0.03
+sbm_feature_dim = 4
+train_per_class = 3
+hidden = 4
+steps = 2
+epochs = 3
+seed = 0
+"""
+
 
 def write_cfg(tmp_path, text=TINY, name="run.cfg", extra=""):
     p = tmp_path / name
@@ -44,6 +59,15 @@ def write_cfg(tmp_path, text=TINY, name="run.cfg", extra=""):
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main(list(argv) + ["--out", str(out)]), out
+
+
+def run_subprocess(*argv):
+    """`lgnsde` in a subprocess, so that numpy warnings reach stderr as in a
+    real run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "lgnsde.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestParseConfig:
@@ -190,13 +214,9 @@ class TestExitCodes:
         model = LGNSDEModel(d_in=6, num_classes=3, hidden=8)
         model.W_enc.data[:] = 1e308
         model.save(tmp_path / "model.npz")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "eval",
-                               "--config", write_cfg(tmp_path), "--out",
-                               str(tmp_path / "out"), "--checkpoint",
-                               str(tmp_path / "model.npz")],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_subprocess("eval", "--config", write_cfg(tmp_path), "--out",
+                              str(tmp_path / "out"), "--checkpoint",
+                              str(tmp_path / "model.npz"))
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
         assert len(err) == 1 and err[0].startswith("diverged: eval: "), proc.stderr
@@ -208,17 +228,64 @@ class TestExitCodes:
         model = LGNSDEModel(d_in=6, num_classes=3, hidden=8)
         model.W2.data[:] = 1e308
         model.save(tmp_path / "model.npz")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "eval",
-                               "--config", write_cfg(tmp_path), "--out",
-                               str(tmp_path / "out"), "--checkpoint",
-                               str(tmp_path / "model.npz")],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_subprocess("eval", "--config", write_cfg(tmp_path), "--out",
+                              str(tmp_path / "out"), "--checkpoint",
+                              str(tmp_path / "model.npz"))
         assert proc.returncode == 1
         assert proc.stderr.strip().splitlines() == [
             "diverged: eval: integration diverged at step 0: "
             "overflow encountered in matmul"], proc.stderr
+
+    @pytest.mark.parametrize("kind, message", [
+        ("empty", "No data left in file"), ("truncated", ""), ("text", ""),
+        ("no-W1", "'W1 is not a file in the archive'"),
+        ("no-config", "'config is not a file in the archive'")],
+        ids=["empty", "truncated", "text", "no-W1", "no-config"])
+    def test_unreadable_checkpoint_is_one_line(self, tmp_path, kind, message):
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        if kind == "empty":
+            ckpt.write_bytes(b"")
+        elif kind == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+        elif kind == "text":
+            ckpt.write_text("not an npz archive\n")
+        else:
+            del arrays["W1" if kind == "no-W1" else "config"]
+            np.savez(ckpt, **arrays)
+        out = tmp_path / "out"
+        proc = run_subprocess("eval", "--config", write_cfg(tmp_path), "--out", str(out),
+                              "--checkpoint", str(ckpt))
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 2
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith(f"config error: unreadable checkpoint {str(ckpt)!r}: ")
+        assert err[0].endswith(message)
+        assert list(out.iterdir()) == []
+
+    def test_ood_with_every_validation_node_held_out(self, tmp_path):
+        # at seed 0 the one validation node is in class 2: nothing is left
+        # for early stopping, so the run stops before training
+        path = write_cfg(tmp_path, text=SPLIT_3X10,
+                         extra="val_count = 1\ntest_count = 10\nood_class = 2\n")
+        out = tmp_path / "out"
+        proc = run_subprocess("ood", "--config", path, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "config error: every validation node is in held-out class 2"], proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_one_class_test_split_stops_before_training(self, tmp_path):
+        path = write_cfg(tmp_path, text=SPLIT_3X10, extra="val_count = 5\ntest_count = 1\n")
+        out = tmp_path / "out"
+        proc = run_subprocess("train", "--config", path, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "config error: the test mask holds fewer than two classes, "
+            "so it cannot be scored"], proc.stderr
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
                                         {"mc_samples": 2.5}, {"prior_mu": None}],
@@ -296,14 +363,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
                                        "prior_mu = 1e308\n", "g = 1e200\n"])
     def test_numeric_blow_up_is_one_diverged_line(self, tmp_path, extra):
-        # a subprocess, so that numpy warnings reach stderr as in a real run
         path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\n" + extra)
         out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", "train",
-                               "--config", path, "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_subprocess("train", "--config", path, "--out", str(out))
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
         assert len(err) == 1 and err[0].startswith("diverged:"), proc.stderr
@@ -321,11 +383,7 @@ class TestExitCodes:
     def test_blow_up_outside_training_is_one_diverged_line(self, tmp_path, command,
                                                            extra):
         path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\n" + extra)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "lgnsde.cli", command,
-                               "--config", path, "--out", str(tmp_path / "out")],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_subprocess(command, "--config", path, "--out", str(tmp_path / "out"))
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
         assert len(err) == 1 and err[0].startswith(f"diverged: {command}: "), proc.stderr

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -49,6 +52,17 @@ class TestBundle:
         assert np.array_equal(back.edges, graph.edges)
         assert np.array_equal(back.train_mask, graph.train_mask)
         assert np.array_equal(back.test_mask, graph.test_mask)
+
+    def test_one_class_test_list_is_rejected(self, tmp_path):
+        graph = sbm_generate(3, 6, 0.3, 0.03, 4, 2.0, seed=0)
+        save_bundle(make_splits(graph, SplitSpec(seed=0, train_frac=0.34,
+                                                 val_frac=0.33)), tmp_path / "b")
+        splits_path = tmp_path / "b" / "splits.json"
+        splits = json.loads(splits_path.read_text())
+        splits["test"] = [i for i in splits["test"] if graph.labels[i] == 1]
+        splits_path.write_text(json.dumps(splits))
+        with pytest.raises(ValueError, match="the 'test' list holds fewer than two classes"):
+            load_bundle(tmp_path / "b")
 
     def test_empty_edge_file_gives_identity_propagation(self, tmp_path):
         d = tmp_path / "b"
@@ -176,6 +190,38 @@ class TestSplits:
         g = sbm_generate(2, 5, 0.1, 0.0, 2, 1.0, seed=0)
         with pytest.raises(ValueError, match="class"):
             make_splits(g, SplitSpec(seed=0, train_per_class=10))
+
+    def test_one_class_test_mask_is_rejected(self):
+        g = sbm_generate(3, 10, 0.3, 0.03, 4, 2.0, seed=0)
+        with pytest.raises(ValueError, match="test mask holds fewer than two classes"):
+            make_splits(g, SplitSpec(seed=0, train_per_class=3, val_count=5,
+                                     test_count=1))
+
+    def test_ood_view_keeps_held_out_nodes_out_of_validation(self):
+        g = sbm_generate(3, 20, 0.2, 0.05, 4, 1.0, seed=0)
+        g = make_splits(g, SplitSpec(seed=0, train_frac=0.3, val_frac=0.3,
+                                     ood_class=1))
+        view, is_ood = ood_view(g, 1)
+        assert (g.val_mask & is_ood).any()
+        assert np.array_equal(view.val_mask, g.val_mask & ~is_ood)
+        assert np.array_equal(view.train_mask, g.train_mask)
+        assert np.array_equal(view.test_mask, g.test_mask)
+        assert (view.test_mask & is_ood).any()
+
+    @pytest.mark.parametrize("mask, keep, message", [
+        ("val_mask", "ood", "every validation node is in held-out class 1"),
+        ("test_mask", "in", "no test node is in held-out class 1"),
+        ("test_mask", "ood+2", "in-distribution test mask holds fewer than two"),
+    ], ids=["all-val-held-out", "no-held-out-test", "one-in-test-class"])
+    def test_ood_view_rejects_split_it_cannot_score(self, mask, keep, message):
+        g = sbm_generate(3, 20, 0.2, 0.05, 4, 1.0, seed=0)
+        g = make_splits(g, SplitSpec(seed=0, train_frac=0.3, val_frac=0.3,
+                                     ood_class=1))
+        kept = {"ood": g.labels == 1, "in": g.labels != 1,
+                "ood+2": g.labels != 0}[keep]
+        g = replace(g, **{mask: getattr(g, mask) & kept})
+        with pytest.raises(ValueError, match=message):
+            ood_view(g, 1)
 
     def test_ood_view_relabels(self):
         g = sbm_generate(3, 10, 0.2, 0.05, 4, 1.0, seed=0)

@@ -8,7 +8,7 @@ import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
 from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
 from lgnsde.model import LGNSDEModel
-from lgnsde.sde import BrownianPath, integrate
+from lgnsde.sde import BrownianPath, DivergedError, integrate
 
 
 def make_graph(n=9, d=4, c=3, seed=0, ring=True):
@@ -263,6 +263,15 @@ class TestCheckpoint:
         finally:
             LGNSDEModel.CHECKPOINT_VERSION = old
         with pytest.raises(ValueError, match="version"):
+            LGNSDEModel.load(p)
+
+    def test_non_finite_parameter_is_diverged(self, tmp_path):
+        g = make_graph()
+        m = small_model(g)
+        m.W2.data[1, 0] = np.nan
+        p = tmp_path / "model.npz"
+        m.save(p)
+        with pytest.raises(DivergedError, match=f"checkpoint {str(p)!r} has non-finite"):
             LGNSDEModel.load(p)
 
 

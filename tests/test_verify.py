@@ -101,6 +101,30 @@ class TestLemma1:
         assert all(row["output_pass"] for row in out["grid"])
         assert not out["pass"]
 
+    def test_var_y_is_the_decoder_readout(self, monkeypatch):
+        # var_y comes through model.decode, bitwise equal to h @ W_dec + b_dec
+        # on the states the solver hands the observer
+        g = make_graph()
+        m = small_model(g, hidden=3, seed=2)
+        m.b_dec.data = np.array([0.3, -1.2, 2.0])
+        states = {}
+        integrate = verify.integrate
+
+        def copying(h0, drift, prior, cfg, increments, observe):
+            def both(j, h):
+                states[j] = h.copy()
+                observe(j, h)
+
+            return integrate(h0, drift, prior, cfg, increments, both)
+
+        monkeypatch.setattr(verify, "integrate", copying)
+        out = lemma1_check(m, g, seed=4, grid_points=m.sde_config.steps)
+        mc = out["mc"]
+        expect = [float((states[j] @ m.W_dec.data + m.b_dec.data)
+                        .reshape(g.n, mc, -1).var(axis=1, ddof=1).sum())
+                  for j in sorted(states)]
+        assert [row["var_y"] for row in out["grid"]] == expect
+
     def test_output_bound_holds_with_trained_drift(self):
         g = make_graph()
         m = small_model(g, hidden=3)
