@@ -4,7 +4,9 @@ Configuration is a plain key=value file ('#' starts a comment); every
 report is a pure function of (config, inputs, master seed), so repeated
 runs emit byte-identical files. Exit codes: 0 success, 1 validation
 failure (a lemma bound violated, divergence), 2 usage or config error;
-`main` maps every error to one of them with a one-line message.
+`main` maps every error to one of them with a one-line message. A command
+makes its output directory only once its config, data and checkpoint have
+loaded and passed their checks, so a config error leaves none behind.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .graphdata import (SplitSpec, load_bundle, load_cora_raw, make_splits,
 from .metrics import entropy_histogram_csv, entropy_rows, evaluate, ood_evaluate
 from .model import LGNSDEModel
 from .sde import BrownianPath, DivergedError
-from .train import test_report, train_model
+from .train import check_settings, test_report, train_model
 from .verify import (elbo_gradient_check, lemma1_check, lemma2_check,
                      resnet_equivalence, write_report)
 
@@ -131,18 +133,21 @@ def build_model(cfg, graph):
                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
 
 
-def run_training(command, cfg, model, graph, ckpt):
-    """train_model with the configured settings, then save the model to
-    `ckpt`; one stderr line naming `command` if it diverged."""
+def run_training(command, cfg, model, graph, out, name):
+    """Check the configured training settings, make `out`, run train_model
+    with them and save the model to out/name; one stderr line naming
+    `command` if it diverged."""
+    check_settings(cfg.epochs, cfg.patience, cfg.lr, cfg.val_mc, cfg.kl_weight)
+    os.makedirs(out, exist_ok=True)
     log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
                       kl_weight=cfg.kl_weight, verbose=True)
     if log.diverged:
         print(f"diverged: {command}: training stopped in epoch {len(log.epochs)}, "
               f"the best parameters were kept", file=sys.stderr)
-    model.save(ckpt)
-    # basename only: keeps runlog.json byte-identical across output dirs
-    log.checkpoint_path = os.path.basename(ckpt)
+    model.save(os.path.join(out, name))
+    # the name only: keeps runlog.json byte-identical across output dirs
+    log.checkpoint_path = name
     return log
 
 
@@ -163,7 +168,7 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = load_dataset(cfg)
     model = build_model(cfg, graph)
-    log = run_training("train", cfg, model, graph, os.path.join(out, "model.npz"))
+    log = run_training("train", cfg, model, graph, out, "model.npz")
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     _write_json(os.path.join(out, "runlog.json"), asdict(log))
     report.to_json(os.path.join(out, "eval.json"))
@@ -185,6 +190,7 @@ def cmd_eval(cfg, out, checkpoint):
         raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
                           f"{model.num_classes} classes, the dataset has "
                           f"{graph.d_in} and {graph.num_classes}")
+    os.makedirs(out, exist_ok=True)
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     report.to_json(os.path.join(out, "eval.json"))
     print(report.to_json())
@@ -197,7 +203,7 @@ def cmd_ood(cfg, out):
     graph = load_dataset(cfg)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    log = run_training("ood", cfg, model, view, os.path.join(out, "model_ood.npz"))
+    log = run_training("ood", cfg, model, view, out, "model_ood.npz")
     probs = model.predict(view, master_seed=cfg.seed)
     test = np.asarray(view.test_mask, dtype=bool)
     block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
@@ -217,6 +223,7 @@ def cmd_ood(cfg, out):
 def cmd_verify(cfg, out):
     graph = load_dataset(cfg)
     model = build_model(cfg, graph)
+    os.makedirs(out, exist_ok=True)
     l1 = lemma1_check(model, graph, seed=cfg.seed)
     l1z = lemma1_check(model, graph, seed=cfg.seed + 1, zero_drift=True)
     l2 = lemma2_check(model, graph, seed=cfg.seed)
@@ -246,6 +253,7 @@ def cmd_gradcheck(cfg, out):
     model = LGNSDEModel(d_in=graph.d_in, num_classes=graph.num_classes,
                         hidden=2, steps=4, g=cfg.g, scheme=cfg.scheme,
                         dropout=0.0, seed=cfg.seed)
+    os.makedirs(out, exist_ok=True)
     path = BrownianPath(int(rng.integers(2 ** 31)), 4, graph.n, 2)
     table = elbo_gradient_check(model, graph, path)
     _write_json(os.path.join(out, "gradcheck.json"), table)
@@ -277,7 +285,6 @@ def main(argv=None):
             if args.seed is not None:
                 cfg.seed = args.seed
             out = args.out or cfg.out_dir
-            os.makedirs(out, exist_ok=True)
             if args.command == "eval":
                 return cmd_eval(cfg, out, args.checkpoint)
             return COMMANDS[args.command](cfg, out)

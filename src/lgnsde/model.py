@@ -125,7 +125,8 @@ class LGNSDEModel:
         """MC posterior predictive: average softmax over Brownian samples.
 
         Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
-        draw; the next path is drawn on a helper thread meanwhile."""
+        draw; the next sample's whole (steps, n, hidden) path is drawn on
+        ``drawn_ahead``'s helper thread while the current one integrates."""
         n_mc = self.mc_samples if mc_samples is None else mc_samples
         if n_mc < 1:
             raise ValueError("mc_samples must be >= 1")

@@ -121,8 +121,14 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
 
 
 def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None):
-    """Advance h0 with the posterior drift driven by the (steps, n, d)
-    Wiener `increments`; return (H(t1), KL).
+    """Advance h0 with the posterior drift driven by the Wiener
+    `increments`; return (H(t1), KL).
+
+    `increments` is any iterable of exactly ``config.steps`` arrays shaped
+    like the state, read one step at a time: a (steps, n, d) array, or a
+    stream such as ``drawn_ahead`` yields. Step j is done with its array
+    before the next is requested, so a stream may reuse its buffers. Too
+    few or too many steps, or a step of the wrong shape, is a ValueError.
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
@@ -133,17 +139,19 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     each step j, so a caller can reduce the states on the grid without
     keeping them (the lemma checks of ``verify`` do).
     """
-    want = (config.steps,) + h0.data.shape
-    if increments.shape != want:
-        raise ValueError(f"increments have shape {increments.shape}, the config "
-                         f"and state want (steps, n, d) = {want}")
+    shape = h0.data.shape
     dt = config.dt
     g = config.g
     h = h0
     kl = None if prior_drift is None else Tensor(0.0)
+    steps = iter(increments)
     for j in range(config.steps):
         t = config.t0 + j * dt
-        dw = increments[j]
+        dw = next(steps, None)
+        if dw is None:
+            raise ValueError(f"increments hold {j} steps, the config wants {config.steps}")
+        if dw.shape != shape:
+            raise ValueError(f"increment {j} has shape {dw.shape}, the state has {shape}")
         try:
             f_post = posterior_drift(h, t)
             if kl is not None:
@@ -159,4 +167,7 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
             raise DivergedError(f"integration diverged at step {j}")
         if observe is not None:
             observe(j + 1, h.data)
+    if next(steps, None) is not None:
+        raise ValueError(f"increments hold more than {config.steps} steps, "
+                         f"the config wants {config.steps}")
     return h, kl

@@ -29,15 +29,9 @@ def _val_metrics(model, graph, val_mc, seed):
     return acc, float(-logp.mean())
 
 
-def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
-                val_mc=2, kl_weight=None, verbose=False):
-    """Maximize the ELBO with Adam; keep the best-validation parameters.
-
-    One fresh Brownian path per step realizes the trajectory expectation
-    through SGD; early stopping scores all of `graph.val_mask`. Returns a
-    RunLog; the model ends up holding the best-validation (or last-good, on
-    divergence) parameters.
-    """
+def check_settings(epochs, patience, lr, val_mc, kl_weight):
+    """Raise ValueError naming the first of train_model's settings that is
+    out of range."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if patience < 0:
@@ -48,6 +42,18 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
         raise ValueError(f"val_mc must be >= 1, got {val_mc}")
     if kl_weight is not None and not 0 <= kl_weight < np.inf:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
+
+
+def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
+                val_mc=2, kl_weight=None, verbose=False):
+    """Maximize the ELBO with Adam; keep the best-validation parameters.
+
+    One fresh Brownian path per step realizes the trajectory expectation
+    through SGD; early stopping scores all of `graph.val_mask`. Returns a
+    RunLog; the model ends up holding the best-validation (or last-good, on
+    divergence) parameters.
+    """
+    check_settings(epochs, patience, lr, val_mc, kl_weight)
     params = model.parameters()
     opt = Adam(params, lr=lr)
     path_seeds = np.random.SeedSequence([seed, 1]).generate_state(epochs)

@@ -107,13 +107,15 @@ class TestParseConfig:
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "train", "--config", str(tmp_path / "nope.cfg"))
+        code, out = run(tmp_path, "train", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+        assert not out.exists()
 
     def test_bad_config_contents(self, tmp_path):
         path = write_cfg(tmp_path, text="dataset = sbm\nnot a line\n")
-        code, _ = run(tmp_path, "train", "--config", path)
+        code, out = run(tmp_path, "train", "--config", path)
         assert code == 2
+        assert not out.exists()
 
     def test_unknown_command(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -121,13 +123,15 @@ class TestExitCodes:
 
     def test_ood_without_ood_class(self, tmp_path):
         path = write_cfg(tmp_path)
-        code, _ = run(tmp_path, "ood", "--config", path)
+        code, out = run(tmp_path, "ood", "--config", path)
         assert code == 2
+        assert not out.exists()
 
     def test_eval_without_checkpoint(self, tmp_path):
         path = write_cfg(tmp_path)
-        code, _ = run(tmp_path, "eval", "--config", path)
+        code, out = run(tmp_path, "eval", "--config", path)
         assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, message", [
         ("train", "steps = 0\n", "steps must be >= 1"),
@@ -175,11 +179,12 @@ class TestExitCodes:
             else:
                 ckpt.write_text("not an npz archive\n")
             argv += ["--checkpoint", str(ckpt)]
-        code, _ = run(tmp_path, *argv)
+        code, out = run(tmp_path, *argv)
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
+        assert not out.exists()
 
     def test_unallocatable_count_is_one_line(self, tmp_path, capsys):
         # no training, then a predict whose seed array no machine can hold
@@ -263,7 +268,7 @@ class TestExitCodes:
         assert len(err) == 1, proc.stderr
         assert err[0].startswith(f"config error: unreadable checkpoint {str(ckpt)!r}: ")
         assert err[0].endswith(message)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_ood_with_every_validation_node_held_out(self, tmp_path):
         # at seed 0 the one validation node is in class 2: nothing is left
@@ -275,7 +280,7 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.strip().splitlines() == [
             "config error: every validation node is in held-out class 2"], proc.stderr
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_one_class_test_split_stops_before_training(self, tmp_path):
         path = write_cfg(tmp_path, text=SPLIT_3X10, extra="val_count = 5\ntest_count = 1\n")
@@ -285,7 +290,7 @@ class TestExitCodes:
         assert proc.stderr.strip().splitlines() == [
             "config error: the test mask holds fewer than two classes, "
             "so it cannot be scored"], proc.stderr
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
                                         {"mc_samples": 2.5}, {"prior_mu": None}],

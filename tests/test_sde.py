@@ -254,6 +254,41 @@ class TestIntegrate:
                       path.increments)
         assert isinstance(e.value.__cause__, FloatingPointError)
 
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_per_step_arrays_equal_the_path_array(self, scheme):
+        # a stream of per-step copies drives the solver to the same bits
+        cfg, path, h0 = self._setup(steps=6, scheme=scheme)
+        drift = lambda h, t: ad.tanh(h) * (0.5 - t)
+        runs = []
+        for increments in (path.increments, (dw.copy() for dw in path.increments)):
+            seen = {}
+            h1, kl = integrate(h0, drift, const_drift(0.2), cfg, increments,
+                               lambda j, h: seen.__setitem__(j, h.copy()))
+            runs.append((h1.data, float(kl.data), seen))
+        (h_a, kl_a, seen_a), (h_b, kl_b, seen_b) = runs
+        assert np.array_equal(h_a, h_b)
+        assert kl_a == kl_b
+        assert sorted(seen_a) == sorted(seen_b) == list(range(1, 7))
+        for j in seen_a:
+            assert np.array_equal(seen_a[j], seen_b[j])
+
+    @pytest.mark.parametrize("steps, message", [
+        (3, "increments hold 3 steps, the config wants 4"),
+        (5, "increments hold more than 4 steps, the config wants 4")])
+    def test_stream_of_the_wrong_length(self, steps, message):
+        cfg = SDEConfig(steps=4)
+        stream = iter(BrownianPath(0, steps, 2, 3).increments)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate(Tensor(np.ones((2, 3))), const_drift(0.0), None, cfg, stream)
+
+    def test_step_of_the_wrong_shape(self):
+        cfg = SDEConfig(steps=4)
+        steps = list(BrownianPath(0, 4, 2, 3).increments)
+        steps[2] = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"^increment 2 has shape \(3, 2\), "
+                                             r"the state has \(2, 3\)$"):
+            integrate(Tensor(np.ones((2, 3))), const_drift(0.0), None, cfg, iter(steps))
+
     def test_path_config_mismatch(self):
         cfg = SDEConfig(steps=4)
         path = BrownianPath(0, 8, 1, 1)

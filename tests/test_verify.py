@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,8 @@ class TestLemma1:
         integrate = verify.integrate
 
         def scaled(h0, drift, prior, cfg, increments, observe):
-            return integrate(h0, drift, prior, cfg, increments * scale, observe)
+            return integrate(h0, drift, prior, cfg, (dw * scale for dw in increments),
+                             observe)
 
         g = make_graph()
         m = small_model(g, hidden=2)
@@ -184,24 +186,81 @@ class TestLemma1:
         out = lemma1_check(m, g, seed=0, zero_drift=True)
         assert out["pass"]
 
+    @staticmethod
+    def _peak(m, g, mc, zero_drift):
+        """tracemalloc peak of one lemma1_check, in bytes."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lemma1_check(m, g, mc=mc, seed=0, zero_drift=zero_drift)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
     def test_peak_is_a_few_ensembles(self):
-        # the batch is integrated with one (steps, n*mc, hidden) increments
-        # array, so the peak is `steps` ensembles of noise plus the state,
-        # the solver's temporaries (two drift evaluations under SRK) and the
-        # variance's: 22.0 to 24.3 ensembles at 16 steps
+        # the noise streams one step at a time through two step-sized
+        # buffers, so the peak is those, the state, the solver's temporaries
+        # (two drift evaluations under SRK) and the variance's: 9.0 to 10.3
+        # ensembles, whatever the step count
         g = sbm_generate(3, 12, 0.3, 0.03, 8, 2.0, seed=0)
         m = LGNSDEModel(g.d_in, g.num_classes, hidden=8, steps=16, seed=0)
         mc = 2000
         ensemble = mc * g.n * m.hidden * 8
         for zero_drift in (False, True):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                lemma1_check(m, g, mc=mc, seed=0, zero_drift=zero_drift)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= (m.sde_config.steps + 10) * ensemble, (zero_drift, peak / ensemble)
+            peak = self._peak(m, g, mc, zero_drift)
+            assert peak <= 12 * ensemble, (zero_drift, peak / ensemble)
+
+    def test_peak_is_below_the_one_shot_noise(self):
+        # the whole (steps, n*mc, hidden) increments array drawn up front
+        # took 36.9 MB on its own here, and lemma 1 peaked at 53.4 MB
+        g = sbm_generate(3, 12, 0.3, 0.03, 8, 2.0, seed=0)
+        m = LGNSDEModel(g.d_in, g.num_classes, hidden=8, steps=16, seed=0)
+        one_shot = m.sde_config.steps * g.n * 1000 * m.hidden * 8
+        assert self._peak(m, g, 1000, zero_drift=False) < one_shot
+
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    @pytest.mark.parametrize("zero_drift", [False, True])
+    def test_rows_equal_the_one_shot_path(self, monkeypatch, scheme, zero_drift):
+        # the streamed per-step draws integrate to the same bits as the
+        # BrownianPath(seed, steps, n*mc, hidden) array drawn in one go
+        g = make_graph()
+        m = small_model(g, hidden=3, scheme=scheme, steps=5)  # sqrt(dt) is inexact
+        cfg, mc, seed = m.sde_config, 1000, 7
+        streamed = lemma1_check(m, g, mc=mc, seed=seed, zero_drift=zero_drift)
+        integrate = verify.integrate
+
+        def one_shot(h0, drift, prior, cfg, increments, observe):
+            path = BrownianPath(seed, cfg.steps, g.n * mc, m.hidden, cfg.t0, cfg.t1)
+            return integrate(h0, drift, prior, cfg, path.increments, observe)
+
+        monkeypatch.setattr(verify, "integrate", one_shot)
+        reference = lemma1_check(m, g, mc=mc, seed=seed, zero_drift=zero_drift)
+        assert streamed["grid"] == reference["grid"]
+        assert len(streamed["grid"]) == cfg.steps
+
+    def test_no_thread_outlives_a_raising_drift(self):
+        g = make_graph()
+        m = small_model(g, hidden=2)
+        drift_fn = m.posterior_drift_fn
+        calls = []
+
+        def failing(graph, rng=None):
+            drift = drift_fn(graph, rng)
+
+            def raising(h, t):
+                calls.append(t)
+                if len(calls) == 5:  # in step 2, 2 SRK drift calls each
+                    raise RuntimeError("drift failed")
+                return drift(h, t)
+
+            return raising
+
+        m.posterior_drift_fn = failing
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="drift failed"):
+            lemma1_check(m, g, seed=0)
+        assert len(calls) == 5
+        assert threading.active_count() == before
 
     # SRK evaluates the drift at t + dt inside step 2, where it overflows
     @pytest.mark.parametrize("scheme, step", [("em", 3), ("srk", 2)])
