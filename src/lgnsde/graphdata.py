@@ -234,6 +234,13 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
     Class c gets mean `feature_gap` on coordinate c (mod feature_dim) and
     unit-variance noise everywhere; edges are Bernoulli(p_in) within a class
     and Bernoulli(p_out) across classes.
+
+    The features are one ``standard_normal((n, feature_dim))`` draw, then
+    the edge coins are drawn one row of the upper triangle at a time: row i
+    draws ``random(n - 1 - i)`` for its pairs (i, j > i). PCG64 takes one
+    64-bit draw per double and buffers nothing, so this is the same stream,
+    and the same graph, as one ``random(n (n - 1) / 2)`` draw over all
+    pairs. Memory is O(n feature_dim) plus the edges; time is O(n^2) draws.
     """
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
@@ -251,11 +258,15 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
     means = np.zeros((classes, feature_dim))
     for c in range(classes):
         means[c, c % feature_dim] = feature_gap
-    features = means[labels] + rng.standard_normal((n, feature_dim))
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < probs
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    features = rng.standard_normal((n, feature_dim))
+    # the rows are class-contiguous; z + m is bitwise m + z, also for -0.0
+    features.reshape(classes, nodes_per_class, feature_dim)[...] += means[:, None]
+    hits = []
+    for i in range(n - 1):
+        probs = np.where(labels[i + 1:] == labels[i], p_in, p_out)
+        hits.append(np.flatnonzero(rng.random(n - 1 - i) < probs) + (i + 1))
+    src = np.repeat(np.arange(n - 1), [h.size for h in hits])
+    edges = np.stack([src, np.concatenate(hits)], axis=1)
     return build_graph(features, labels, edges, num_classes=classes)
 
 

@@ -194,6 +194,16 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error: Unable to allocate")
 
+    def test_unallocatable_sbm_is_one_line(self, tmp_path):
+        # the SBM draws its pairs row by row, so no pair array refuses an
+        # absurd size up front; its labels are still refused before any row
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 1000000000000\n")
+        proc = run_subprocess("train", "--config", path, "--out", str(tmp_path / "out"))
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 2
+        assert len(err) == 1 and err[0].startswith("config error: Unable to allocate"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_out_under_a_regular_file(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         (tmp_path / "file").write_text("")

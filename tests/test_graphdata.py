@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,23 @@ class TestCoraRaw:
             load_cora_raw(*self._write(tmp_path, content, ""))
 
 
+def sbm_one_shot(classes, nodes_per_class, p_in, p_out, feature_dim, feature_gap, seed):
+    """The generator drawn over all n(n-1)/2 pairs at once, O(n^2) memory:
+    the reference that ``sbm_generate`` must reproduce byte for byte."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = classes * nodes_per_class
+    labels = np.repeat(np.arange(classes), nodes_per_class)
+    means = np.zeros((classes, feature_dim))
+    for c in range(classes):
+        means[c, c % feature_dim] = feature_gap
+    features = means[labels] + rng.standard_normal((n, feature_dim))
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < probs
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    return build_graph(features, labels, edges, num_classes=classes)
+
+
 class TestSBM:
     def test_no_edges_when_probs_zero(self):
         g = sbm_generate(2, 5, 0.0, 0.0, 3, 1.0, seed=0)
@@ -152,6 +170,40 @@ class TestSBM:
         m0 = g.features[g.labels == 0].mean(axis=0)
         m1 = g.features[g.labels == 1].mean(axis=0)
         assert np.linalg.norm(m0 - m1) > 2.0
+
+    @pytest.mark.parametrize("args", [
+        (3, 1, 0.5, 0.2, 4, 2.0, 0),           # one node per class
+        (3, 6, 1.0, 1.0, 4, 2.0, 1),           # every pair an edge
+        (3, 6, 0.0, 0.0, 4, 2.0, 2),           # no edge
+        (5, 4, 0.4, 0.1, 2, 1.5, 3),           # feature_dim < classes: c % d wraps
+        (3, 8, 0.4, 0.1, 5, 0.0, 4),           # feature_gap = 0
+        (7, 120, 0.05, 0.005, 16, 2.0, 0),
+        (7, 120, 0.05, 0.005, 16, 2.0, 1),
+        (7, 120, 0.05, 0.005, 16, 2.0, 2),
+    ])
+    def test_bytes_equal_the_one_shot_draw(self, args):
+        got, ref = sbm_generate(*args), sbm_one_shot(*args)
+        assert got.num_classes == ref.num_classes
+        for name in ("features", "labels", "edges"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.norm_adj._csr, name), getattr(ref.norm_adj._csr, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_peak_memory_is_linear_in_n(self):
+        # the one-shot draw held all 979,300 pairs' indices, labels, coins
+        # and probabilities (31 MB here); row by row the peak is the
+        # features plus O(n) scratch and the edges
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = sbm_generate(7, 200, 0.02, 0.001, 16, 2.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.features.nbytes + 4 * 2**20, peak
 
 
 class TestSplits:

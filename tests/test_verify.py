@@ -328,6 +328,46 @@ class TestLemma2:
         assert out["pass"] and out["certificate_pass"]
         assert out["L_f"] >= out["L_f_realized"]
 
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_report_equals_the_one_shot_noise(self, monkeypatch, scheme):
+        # the streamed per-step draws integrate to the same bits as the whole
+        # (steps, n, 1, trials, hidden) noise drawn after the directions
+        g = make_graph()
+        m = small_model(g, hidden=3, scheme=scheme, steps=5)  # sqrt(dt) is inexact
+        trials, seed = 7, 3
+        streamed = lemma2_check(m, g, trials=trials, seed=seed)
+        integrate = verify.integrate
+
+        def one_shot(h0, drift, prior, cfg, increments, observe):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            rng.standard_normal((g.n, trials, m.hidden))  # the directions
+            noise = rng.standard_normal((cfg.steps, g.n, 1, trials, m.hidden)) * np.sqrt(cfg.dt)
+            whole = np.broadcast_to(noise, (cfg.steps, g.n, 2, trials, m.hidden))
+            return integrate(h0, drift, prior, cfg, whole.reshape(cfg.steps, -1, m.hidden),
+                             observe)
+
+        monkeypatch.setattr(verify, "integrate", one_shot)
+        reference = lemma2_check(m, g, trials=trials, seed=seed)
+        assert streamed == reference
+        assert len(streamed["grid"]) == m.sde_config.steps
+
+    def test_peak_is_below_the_one_shot_noise(self):
+        # the whole noise drawn up front took 7.4 MB here and its copy for
+        # the pairs 14.7 MB more (a 24.2 MB peak); streamed, the peak is
+        # about ten (n*2*trials, hidden) ensembles, whatever the step count
+        g = sbm_generate(3, 12, 0.3, 0.03, 8, 2.0, seed=0)
+        m = LGNSDEModel(g.d_in, g.num_classes, hidden=8, steps=64, seed=0)
+        trials = 50
+        one_shot = m.sde_config.steps * g.n * trials * m.hidden * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lemma2_check(m, g, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < one_shot, peak
+
     @pytest.mark.parametrize("seed", range(3))
     def test_unnormalized_operator_fails(self, seed):
         # A + I instead of D^{-1/2}(A+I)D^{-1/2} (here all ones): ||A||_2 is
@@ -387,13 +427,18 @@ class TestLemma2:
         integrate = verify.integrate
 
         def copying(h0, drift, prior, cfg, increments, observe):
-            run["states"], run["increments"] = [h0.data.copy()], increments
+            run["states"], run["increments"] = [h0.data.copy()], []
+
+            def copied():
+                for dw in increments:
+                    run["increments"].append(dw.copy())
+                    yield dw
 
             def both(j, h):
                 run["states"].append(h.copy())
                 observe(j, h)
 
-            return integrate(h0, drift, prior, cfg, increments, both)
+            return integrate(h0, drift, prior, cfg, copied(), both)
 
         def gap(x):
             pairs = x.reshape(g.n, 2, 30, -1)
