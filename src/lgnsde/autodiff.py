@@ -9,9 +9,9 @@ parameter values may be shared read-only.
 A Tensor holds its data and its node; the node holds the gradient, the
 backward closure and the nodes of the op's inputs, never a Tensor. Each
 closure keeps only the arrays its backward reads (tanh its output, matmul
-the other operand, mul its operands, dropout its mask; add, sub, scale,
-concat_cols, spmm and tensor_sum only shapes), so an intermediate that no
-backward reads is freed as soon as the forward drops its Tensor.
+the other operand, mul its operands, dropout its boolean mask; add, sub,
+scale, concat_cols, spmm and tensor_sum only shapes), so an intermediate
+that no backward reads is freed as soon as the forward drops its Tensor.
 ``backward`` releases each interior node's gradient, closure and parents
 right after using them, so the tape shrinks as the pass runs and a second
 ``backward`` through the same graph raises RuntimeError. Leaves keep their
@@ -218,8 +218,11 @@ def dropout(a, p, rng=None):
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
     if rng is None or p == 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
+    # the tape keeps a bool mask, an eighth of the float one; both passes
+    # scale it to the same float mask on the fly
+    keep = rng.random(a.data.shape) >= p
+    q = 1.0 - p
+    return _make(a.data * (keep / q), (a,), lambda g: (g * (keep / q),))
 
 
 def _softmax(z):

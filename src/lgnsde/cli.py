@@ -1,12 +1,15 @@
 """Command-line surface: generate | train | eval | ood | verify | gradcheck.
 
 Configuration is a plain key=value file ('#' starts a comment); every
-report is a pure function of (config, inputs, master seed), so repeated
-runs emit byte-identical files. Exit codes: 0 success, 1 validation
-failure (a lemma bound violated, divergence), 2 usage or config error;
-`main` maps every error to one of them with a one-line message. A command
-makes its output directory only once its config, data and checkpoint have
-loaded and passed their checks, so a config error leaves none behind.
+report is a pure function of (config, inputs, master seed) at a fixed BLAS
+thread count and kernel, so repeated runs with the same BLAS setting emit
+byte-identical files (another thread count may round a dense product
+differently: model.npz has differed by 2.3e-16). Exit codes: 0 success,
+1 validation failure (a lemma bound violated, divergence), 2 usage or
+config error; `main` maps every error to one of them with a one-line
+message. A command makes its output directory only once its config, data
+and checkpoint have loaded and passed their checks, so a config error
+leaves none behind.
 """
 
 import argparse
@@ -143,8 +146,8 @@ def run_training(command, cfg, model, graph, out, name):
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
                       kl_weight=cfg.kl_weight, verbose=True)
     if log.diverged:
-        print(f"diverged: {command}: training stopped in epoch {len(log.epochs)}, "
-              f"the best parameters were kept", file=sys.stderr)
+        print(f"diverged: {command}: training stopped in epoch {len(log.epochs)}: "
+              f"{log.divergence}; the best parameters were kept", file=sys.stderr)
     model.save(os.path.join(out, name))
     # the name only: keeps runlog.json byte-identical across output dirs
     log.checkpoint_path = name

@@ -75,7 +75,14 @@ def _canonical_edges(pairs, n):
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
 
 
-def build_graph(features, labels, edges, num_classes=None):
+def build_graph(features, labels, edges, num_classes=None, where="labels"):
+    """A Graph over the nodes' features, labels and undirected edges.
+
+    The labels must be exactly the classes 0..C-1, each with a node, where
+    C is `num_classes` or, when it is None, the largest label plus one; a
+    label outside them, or a class with no node, is a ValueError that
+    starts with `where` (the file a loader read the labels from).
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n, d_in = features.shape
@@ -84,6 +91,17 @@ def build_graph(features, labels, edges, num_classes=None):
         raise ValueError(f"node {bad[0]} has a non-finite feature")
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if labels.size else 0
+    # no num_classes-sized array, so a huge label fails at once
+    out = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if out.size:
+        raise ValueError(f"{where}: node {out[0]} has label {labels[out[0]]}, "
+                         f"outside 0..{num_classes - 1}")
+    present = np.unique(labels)
+    if present.size < num_classes:
+        gaps = np.flatnonzero(present != np.arange(present.size))
+        missing = gaps[0] if gaps.size else present.size
+        raise ValueError(f"{where}: class {missing} has no node "
+                         f"(the labels must cover 0..{num_classes - 1})")
     edges = _canonical_edges(edges, n)
     return Graph(n=n, d_in=d_in, features=features, labels=labels,
                  num_classes=num_classes, edges=edges,
@@ -151,7 +169,7 @@ def load_bundle(path):
             except ValueError as e:
                 raise ValueError(f"{edges_path}:{lineno}: {e}") from None
     graph = build_graph(np.asarray(feats, dtype=np.float64).reshape(n, -1),
-                        labels, edges)
+                        labels, edges, where=nodes_path)
     splits_path = os.path.join(path, "splits.json")
     if os.path.exists(splits_path):
         with open(splits_path) as f:

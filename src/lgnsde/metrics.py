@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def entropy_rows(probs):
@@ -22,6 +21,22 @@ def entropy_rows(probs):
     return -terms.sum(axis=1)
 
 
+def midranks(x):
+    """1-based ranks of x, tied entries sharing the mean of their ranks:
+    ``scipy.stats.rankdata(x)`` (method "average"). All NaN if any entry
+    is NaN, since a NaN has no rank."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    counts = np.diff(first, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def binary_auroc(scores, flags):
     """Rank-statistic AUROC with midrank tie handling."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -30,7 +45,7 @@ def binary_auroc(scores, flags):
     neg = flags.size - pos
     if pos == 0 or neg == 0:
         raise ValueError("AUROC needs both positive and negative samples")
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     return float((ranks[flags].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
 
 

@@ -111,7 +111,7 @@ class LGNSDEModel:
         if kl_weight is None:
             kl_weight = 1.0 / (graph.n * self.hidden)
         h, kl = integrate(self.encode(graph, rng), self.posterior_drift_fn(graph, rng),
-                          self.prior_drift, self.sde_config, path.increments)
+                          self.prior_drift, self.sde_config, path)
         nll = ad.masked_cross_entropy(self.decode(h), graph.labels, graph.train_mask)
         n_train = int(np.count_nonzero(graph.train_mask))
         return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)

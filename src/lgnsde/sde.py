@@ -46,11 +46,34 @@ class SDEConfig:
 
 
 class BrownianPath:
-    """Seeded Wiener increments: a (steps, n, d) array of N(0, dt) draws."""
+    """Seeded Wiener increments: `steps` (n, d) arrays of N(0, dt) draws.
+
+    The path keeps its seed, not its draws. Iterating it draws the steps
+    one at a time from a fresh ``PCG64(seed)``, each as
+    ``standard_normal((n, d))`` then ``*= sqrt(dt)``. The sampler buffers
+    nothing between calls, so step j is bitwise the j-th slice of one
+    ``standard_normal((steps, n, d)) * sqrt(dt)`` draw, and every iteration
+    yields the same steps. So ``integrate`` holds one step of noise at a
+    time, and a training step never holds the whole path.
+    """
 
     def __init__(self, seed, steps, n, d, t0=0.0, t1=1.0):
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
-        self.increments = rng.standard_normal((steps, n, d)) * np.sqrt((t1 - t0) / steps)
+        self.seed = int(seed)
+        self.steps = steps
+        self.shape = (n, d)
+        self.scale = np.sqrt((t1 - t0) / steps)
+
+    def __iter__(self):
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        for _ in range(self.steps):
+            dw = rng.standard_normal(self.shape)
+            dw *= self.scale
+            yield dw
+
+    @property
+    def increments(self):
+        """The whole path as one (steps, n, d) array, drawn anew."""
+        return np.stack(list(self))
 
 
 @contextmanager
@@ -125,10 +148,11 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     `increments`; return (H(t1), KL).
 
     `increments` is any iterable of exactly ``config.steps`` arrays shaped
-    like the state, read one step at a time: a (steps, n, d) array, or a
-    stream such as ``drawn_ahead`` yields. Step j is done with its array
-    before the next is requested, so a stream may reuse its buffers. Too
-    few or too many steps, or a step of the wrong shape, is a ValueError.
+    like the state, read one step at a time: a (steps, n, d) array, a
+    ``BrownianPath``, or a stream such as ``drawn_ahead`` yields. Step j is
+    done with its array before the next is requested, so a stream may reuse
+    its buffers. Too few or too many steps, or a step of the wrong shape,
+    is a ValueError.
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the

@@ -18,6 +18,9 @@ class RunLog:
     best_val_acc: float = -1.0
     diverged: bool = False
     checkpoint_path: str = None
+    # the error that stopped a diverged run; a plain attribute, not a
+    # field, so runlog.json keeps its keys
+    divergence = None
 
 
 def _val_metrics(model, graph, val_mc, seed):
@@ -78,8 +81,9 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
                 backward(loss)
                 opt.step()
                 val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed)
-        except (DivergedError, FloatingPointError):
+        except (DivergedError, FloatingPointError) as e:
             log.diverged = True
+            log.divergence = str(e)
             break
         log.epochs.append({"epoch": epoch, "train_loss": float(loss.data),
                            "val_acc": val_acc, "val_nll": val_nll})

@@ -18,7 +18,6 @@ import json
 from dataclasses import replace
 
 import numpy as np
-from scipy.stats import chi2
 
 from .autodiff import Tensor, backward, no_grad
 from .sde import drawn_ahead, integrate
@@ -47,12 +46,21 @@ def _grid(steps, grid_points):
 
 # ---------------------------------------------------------------- lemma 1
 
+def chi2_ppf(q, df):
+    """Quantiles q of chi^2 with df degrees of freedom: 2 gammaincinv(df/2,
+    q), the formula of ``scipy.stats.chi2.ppf``. scipy.special is imported
+    here, so train and predict never load it."""
+    from scipy.special import gammaincinv
+
+    return 2 * gammaincinv(df / 2, q)
+
+
 def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
                  zero_drift=False):
     """Variance-bound check: Var(y(t)) <= L_h^2 Var(H(t)) on an MC ensemble.
 
     The mc paths start at H(t0), driven by the increments
-    ``BrownianPath(seed, steps, n*mc, hidden)`` would hold, drawn one step
+    ``BrownianPath(seed, steps, n*mc, hidden)`` yields, drawn one step
     at a time on ``drawn_ahead``'s helper thread while the step before
     integrates, so two (n*mc, hidden) noise buffers are live, not the whole
     path; var_h and var_y sum the per-coordinate sample variances
@@ -79,7 +87,7 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
     n, hidden = graph.n, model.hidden
     l_h = float(np.linalg.norm(model.W_dec.data, 2))
     alpha = 1e-6 / len(grid)
-    band = chi2.ppf([alpha / 2, 1 - alpha / 2], (mc - 1) * n * hidden) / (mc - 1)
+    band = chi2_ppf([alpha / 2, 1 - alpha / 2], (mc - 1) * n * hidden) / (mc - 1)
     rows = []
 
     def observe(j, h):
@@ -214,9 +222,9 @@ def resnet_equivalence(model, graph, path):
     drift = model.posterior_drift_fn(graph)
     with no_grad():
         h = model.encode(graph)
-        h_em, _ = integrate(h, drift, None, cfg, path.increments)
-        for j in range(cfg.steps):
-            h = h + drift(h, cfg.t0 + j * cfg.dt) * cfg.dt + cfg.g * path.increments[j]
+        h_em, _ = integrate(h, drift, None, cfg, path)
+        for j, dw in enumerate(path):
+            h = h + drift(h, cfg.t0 + j * cfg.dt) * cfg.dt + cfg.g * dw
     return float(np.abs(h.data - h_em.data).max())
 
 

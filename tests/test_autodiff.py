@@ -7,6 +7,15 @@ import lgnsde.autodiff as ad
 from lgnsde.autodiff import Adam, SparseMatrix, Tensor, backward
 
 
+def float_mask_dropout(a, p, rng=None):
+    """Dropout that keeps the scaled float mask on the tape: the reference
+    the boolean-mask op must equal bit for bit."""
+    if rng is None or p == 0.0:
+        return a
+    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    return ad._make(a.data * mask, (a,), lambda g: (g * mask,))
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite differences of scalar f w.r.t. array x."""
     g = np.empty_like(x)
@@ -144,6 +153,24 @@ class TestElementwise:
         out = ad.dropout(x, 0.25, rng).data
         assert set(np.unique(out.round(10))) == {0.0, round(1 / 0.75, 10)}
         assert abs(out.mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_dropout_keeps_bool_mask_and_float_mask_values(self, p):
+        rng = np.random.Generator(np.random.PCG64(3))
+        data, weights = rng.standard_normal((2, 40, 7))
+        outs, grads = [], []
+        for op in (ad.dropout, float_mask_dropout):
+            x = Tensor(data, requires_grad=True)
+            out = op(x, p, np.random.Generator(np.random.PCG64(4)))
+            if op is ad.dropout:
+                kept = [c.cell_contents for c in out._node.backward.__closure__
+                        if isinstance(c.cell_contents, np.ndarray)]
+                assert [a.dtype for a in kept] == [np.dtype(bool)]
+            backward(ad.tensor_sum(ad.mul(out, Tensor(weights))))
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
 
     def test_dropout_bad_p(self):
         with pytest.raises(ValueError):

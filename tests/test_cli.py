@@ -61,13 +61,22 @@ def run(tmp_path, *argv):
     return main(list(argv) + ["--out", str(out)]), out
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, python=("-m", "lgnsde.cli")):
     """`lgnsde` in a subprocess, so that numpy warnings reach stderr as in a
-    real run."""
+    real run; `python` replaces the module run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "lgnsde.cli", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_loads_no_scipy_stats_or_special():
+    # scipy.stats alone took about 1 s and 44 MB of every process
+    proc = run_subprocess(python=("-c", "import sys, lgnsde.cli; print(sorted(m for m in "
+                                  "sys.modules if m.startswith(('scipy.stats', "
+                                  "'scipy.special'))))"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParseConfig:
@@ -374,6 +383,40 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert err == ["config error: node 4 has a non-finite feature"]
+
+    @pytest.mark.parametrize("label, message", [
+        (-1, "node 4 has label -1, outside 0..2"),
+        (10 ** 8, "class 3 has no node (the labels must cover 0..100000000)"),
+    ])
+    def test_bad_bundle_label_is_config_error(self, tmp_path, capsys, label, message):
+        # -1 once trained as the last class; 10**8 built a 3 GiB decoder
+        graph = sbm_generate(3, 6, 0.3, 0.03, 6, 2.0, seed=0)
+        save_bundle(make_splits(graph, SplitSpec(seed=0, train_frac=0.34,
+                                                 val_frac=0.33)), tmp_path / "b")
+        nodes = tmp_path / "b" / "nodes.tsv"
+        lines = nodes.read_text().splitlines()
+        fields = lines[4].split("\t")
+        fields[1] = str(label)
+        lines[4] = "\t".join(fields)
+        nodes.write_text("\n".join(lines) + "\n")
+        path = write_cfg(tmp_path, extra=f"dataset = bundle\nbundle_path = {tmp_path / 'b'}\n")
+        code, out = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"config error: {nodes}: {message}"]
+        assert not out.exists()
+
+    def test_training_divergence_names_its_step(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\nprior_mu = 1e308\n")
+        code, out = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert err == ["diverged: train: training stopped in epoch 0: integration "
+                       "diverged at step 0: overflow encountered in multiply; "
+                       "the best parameters were kept"]
+        # the text is kept off runlog.json, whose keys stay as they were
+        assert sorted(json.loads((out / "runlog.json").read_text())) == [
+            "best_epoch", "best_val_acc", "checkpoint_path", "diverged", "epochs"]
 
     @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
                                        "prior_mu = 1e308\n", "g = 1e200\n"])

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from lgnsde.metrics import (aurc, binary_auroc, entropy_histogram_csv,
-                            entropy_rows, evaluate, micro_auroc, ood_evaluate)
+                            entropy_rows, evaluate, micro_auroc, midranks,
+                            ood_evaluate)
 
 
 class TestEntropy:
@@ -35,6 +37,26 @@ def pair_count_auroc(scores, labels):
         elif p == n:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_rankdata(self, seed):
+        # scipy.stats stays a test oracle only; ties are forced by drawing
+        # from a few values, and the ranks must match bit for bit
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for size in (1, 2, 17, 300):
+            values = np.linspace(-1.0, 1.0, int(rng.integers(1, 12)))
+            x = rng.choice(values, size=size)
+            assert np.array_equal(midranks(x), rankdata(x))
+        x = rng.standard_normal(50)
+        assert np.array_equal(midranks(x), rankdata(x))
+
+    def test_nan_gives_all_nan(self):
+        x = np.array([0.3, np.nan, 0.1, 0.3])
+        assert np.array_equal(midranks(x), rankdata(x), equal_nan=True)
+        assert np.isnan(midranks(x)).all()
+        assert np.isnan(binary_auroc(x, [1, 0, 1, 0]))
 
 
 class TestBinaryAUROC:

@@ -9,6 +9,7 @@ from lgnsde.autodiff import Tensor, backward
 from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
 from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath, DivergedError, integrate
+from tests.test_autodiff import float_mask_dropout
 
 
 def make_graph(n=9, d=4, c=3, seed=0, ring=True):
@@ -344,3 +345,33 @@ class TestTapeMemory:
 
         state_bytes = graph.n * hidden * 8
         assert (step_peak(16) - step_peak(8)) / 8 / state_bytes <= 12
+
+    def test_step_peak_below_whole_path_and_float_masks(self, monkeypatch):
+        # the same training step with what the tape held before: the whole
+        # path drawn up front and a float dropout mask per drift call. The
+        # gradients are bitwise equal, and the peak falls by at least the
+        # whole path
+        graph = make_splits(sbm_generate(3, 100, 0.05, 0.005, 16, 2.0, seed=0),
+                            SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
+        hidden, steps = 32, 16
+
+        def step(whole_path):
+            model = LGNSDEModel(graph.d_in, graph.num_classes, hidden=hidden,
+                                steps=steps, dropout=0.2, seed=0)
+            path = BrownianPath(1, steps, graph.n, hidden)
+            rng = np.random.Generator(np.random.PCG64(2))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                noise = path.increments if whole_path else path
+                backward(model.training_loss(graph, noise, rng=rng))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return peak, [p.grad for p in model.parameters()]
+
+        peak, grads = step(whole_path=False)
+        monkeypatch.setattr(ad, "dropout", float_mask_dropout)
+        before, reference = step(whole_path=True)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, reference))
+        assert peak <= before - steps * graph.n * hidden * 8

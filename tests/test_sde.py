@@ -30,6 +30,19 @@ class TestBrownianPath:
         assert np.array_equal(BrownianPath(seed, steps, n, d, 0.0, t1).increments,
                               np.stack(per_step))
 
+    @pytest.mark.parametrize("seed, steps, n, d", [(0, 1, 1, 1), (7, 16, 9, 8),
+                                                   (3, 16, 2708, 64)])
+    def test_iteration_equals_one_shot_draw(self, seed, steps, n, d):
+        # the steps are drawn one at a time, bitwise the one-shot draw (the
+        # last case is the Cora stand-in's path), and a path iterates twice
+        rng = np.random.Generator(np.random.PCG64(seed))
+        one_shot = rng.standard_normal((steps, n, d)) * np.sqrt(1.0 / steps)
+        path = BrownianPath(seed, steps, n, d)
+        for _ in range(2):
+            drawn = list(path)
+            assert len(drawn) == steps
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, one_shot))
+
     def test_increment_variance(self):
         # pooled per-entry variance over many paths approaches dt
         L, n, d = 4, 5, 3

@@ -70,6 +70,20 @@ class TestEstimateLipschitz:
         assert estimate_lipschitz(m) == 0.0
 
 
+class TestChi2Quantiles:
+    @pytest.mark.parametrize("n, hidden", [(36, 8), (120, 64)])
+    @pytest.mark.parametrize("grid_rows", range(1, 9))
+    def test_band_equals_scipy_stats(self, n, hidden, grid_rows):
+        # lemma 1's band at verify-small's df (3x12 nodes, hidden 8) and at
+        # the default RunConfig's (3x40 nodes, hidden 64), 1000 paths
+        from scipy.stats import chi2
+
+        alpha = 1e-6 / grid_rows
+        q = [alpha / 2, 1 - alpha / 2]
+        df = 999 * n * hidden
+        assert np.array_equal(verify.chi2_ppf(q, df), chi2.ppf(q, df))
+
+
 class TestLemma1:
     def test_zero_drift_diffusion_equality(self):
         # with zeroed drift Var(H(t)) = g^2 t n h exactly in distribution
