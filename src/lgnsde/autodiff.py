@@ -17,6 +17,12 @@ right after using them, so the tape shrinks as the pass runs and a second
 ``backward`` through the same graph raises RuntimeError. Leaves keep their
 gradients. The first gradient a node receives is kept without a copy: no
 op writes a gradient in place.
+
+``checkpoint(fn, inputs, rng)`` trades memory for time: it records one
+node that keeps only the inputs' arrays, and backward re-runs `fn` on a
+nested tape, with `rng` put back where it stood at the call so dropout
+draws the same mask. The nested pass runs through the private
+``_backward``, so ``backward`` is called once per loss.
 """
 
 import contextlib
@@ -27,15 +33,19 @@ _grad_enabled = True
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (pure inference)."""
+def _recording(enabled):
     global _grad_enabled
     prev = _grad_enabled
-    _grad_enabled = False
+    _grad_enabled = enabled
     try:
         yield
     finally:
         _grad_enabled = prev
+
+
+def no_grad():
+    """Disable tape recording inside the block (pure inference)."""
+    return _recording(False)
 
 
 def _released(g):
@@ -284,9 +294,13 @@ def backward(loss):
     and releases every interior node as soon as it has been used."""
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    root = loss._node
-    if root is None:
-        return
+    if loss._node is not None:
+        _backward(loss._node, np.ones_like(loss.data))
+
+
+def _backward(root, grad):
+    """The reverse pass of ``backward``, seeded with `grad` at `root`;
+    ``checkpoint`` runs its nested passes through it too."""
     topo = []
     seen = set()
     stack = [(root, False)]
@@ -302,7 +316,7 @@ def backward(loss):
         for p in node.parents:
             if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    root.accumulate(np.ones_like(loss.data))
+    root.accumulate(grad)
     for node in reversed(topo):
         if node.backward is None:
             continue
@@ -310,6 +324,44 @@ def backward(loss):
             if p is not None:
                 p.accumulate(g)
         node.grad, node.backward, node.parents = None, _released, ()
+
+
+def checkpoint(fn, inputs, rng=None):
+    """``fn(*inputs)`` on one tape node that keeps only the inputs' arrays.
+
+    The forward runs `fn` with the tape off. Backward rebuilds the inputs
+    as fresh leaves, puts `rng` (the generator `fn` draws from, if any)
+    back in its state at the call, re-runs `fn` with the tape on, returns
+    the generator to where it was and back-propagates through that
+    sub-tape: the parameters `fn` closes over get their gradients there,
+    the inputs get theirs from this node. The recompute repeats the
+    forward's float ops, so every gradient is bitwise the one of calling
+    `fn` on the tape. With the tape off, a plain call.
+    """
+    if not _grad_enabled:
+        return fn(*inputs)
+    state = None if rng is None else rng.bit_generator.state
+    with no_grad():
+        # a fresh Tensor: fn may return one of its inputs
+        out = Tensor(fn(*inputs).data)
+    arrays = [(x.data, x.requires_grad) for x in inputs]
+
+    def _bwd(g):
+        if rng is not None:
+            now, rng.bit_generator.state = rng.bit_generator.state, state
+        try:
+            with _recording(True):
+                leaves = [Tensor(data, requires_grad=rg) for data, rg in arrays]
+                sub = fn(*leaves)
+        finally:
+            if rng is not None:
+                rng.bit_generator.state = now
+        if sub._node is not None:
+            _backward(sub._node, g)
+        return tuple(leaf.grad for leaf in leaves)
+
+    out._node = _Node(_bwd, tuple(x._node for x in inputs))
+    return out
 
 
 # ---------------------------------------------------------- sparse matrix

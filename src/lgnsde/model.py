@@ -65,9 +65,14 @@ class LGNSDEModel:
     def encode(self, graph, rng=None):
         """H(t0) = dropout(X) W_enc + b_enc; node-wise, no graph mixing.
 
-        Dropout applies only when an rng is passed (training)."""
-        x = ad.dropout(Tensor(graph.features), self.dropout, rng)
-        return ad.add(ad.matmul(x, self.W_enc), self.b_enc)
+        Dropout applies only when an rng is passed (training). On the tape
+        the encoder is one ``checkpoint`` node, so the dropped copy of X is
+        drawn again in backward rather than kept."""
+        def enc():
+            x = ad.dropout(Tensor(graph.features), self.dropout, rng)
+            return ad.add(ad.matmul(x, self.W_enc), self.b_enc)
+
+        return ad.checkpoint(enc, (), rng)
 
     def posterior_drift_fn(self, graph, rng=None):
         """Drift closure F(H, t) = A tanh(A [H, t] W1 + b1) W2 + b2.
@@ -75,7 +80,9 @@ class LGNSDEModel:
         H is an (n, hidden) Tensor, or a batch of states stacked node-major
         as (n*B, hidden) (see ``autodiff.spmm``). Training, prediction and
         the verification harness all run this one closure; dropout on the
-        hidden layer applies only when an rng is passed.
+        hidden layer applies only when an rng is passed. On the tape each
+        call is one ``checkpoint`` node that keeps only H; backward
+        recomputes the rest, drawing the same dropout mask again.
         """
         adj = graph.norm_adj
 
@@ -87,7 +94,7 @@ class LGNSDEModel:
             z = adj.matmul(z)
             return ad.add(ad.matmul(z, self.W2), self.b2)
 
-        return drift
+        return lambda h, t: ad.checkpoint(lambda x: drift(x, t), (h,), rng)
 
     def prior_drift(self, h, t):
         """Constant-mu drift, or -theta * H when an OU rate is configured."""

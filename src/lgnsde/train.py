@@ -71,7 +71,9 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
         path = BrownianPath(int(path_seeds[epoch]), cfg.steps, graph.n,
                             model.hidden, cfg.t0, cfg.t1)
         # an overflow or NaN raises where it is made, and no numpy warning
-        # reaches stderr; Adam checks its moments before writing parameters
+        # reaches stderr; Adam checks its moments before writing parameters.
+        # The error text says whether validation or the training step made it
+        phase = ""
         try:
             with np.errstate(all="raise", under="ignore"):
                 loss = model.training_loss(graph, path, rng=rng, kl_weight=kl_weight)
@@ -80,10 +82,11 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
+                phase = "validation predict: "
                 val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed)
         except (DivergedError, FloatingPointError) as e:
             log.diverged = True
-            log.divergence = str(e)
+            log.divergence = phase + str(e)
             break
         log.epochs.append({"epoch": epoch, "train_loss": float(loss.data),
                            "val_acc": val_acc, "val_nll": val_nll})

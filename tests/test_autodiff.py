@@ -297,6 +297,98 @@ class TestTape:
         assert np.array_equal(w.grad, x.data.T @ d)
         assert np.array_equal(b.grad, d.sum(axis=0))
 
+class TestCheckpoint:
+    @staticmethod
+    def layer(w):
+        # a closure over a parameter, with dropout drawn from the rng
+        def fn(x, rng):
+            z = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.5, rng)
+            return ad.add(ad.mul(z, x), x)
+        return fn
+
+    def run(self, through_checkpoint):
+        data = np.random.Generator(np.random.PCG64(5))
+        x = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+        w = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+        rng = np.random.Generator(np.random.PCG64(6))
+        fn = self.layer(w)
+        h = x
+        for _ in range(3):
+            h = (ad.checkpoint(lambda a: fn(a, rng), (h,), rng) if through_checkpoint
+                 else fn(h, rng))
+        loss = ad.tensor_sum(ad.mul(h, h))
+        forward_state = rng.bit_generator.state
+        backward(loss)
+        return loss, x.grad, w.grad, forward_state, rng.bit_generator.state
+
+    def test_gradients_bitwise_equal_the_full_tape(self):
+        loss, gx, gw, _, _ = self.run(True)
+        ref_loss, ref_gx, ref_gw, _, _ = self.run(False)
+        assert float(loss.data) == float(ref_loss.data)
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gw, ref_gw)
+
+    def test_generator_ends_where_the_forward_left_it(self):
+        _, _, _, forward_state, after = self.run(True)
+        assert after == forward_state
+        assert forward_state == self.run(False)[3]
+
+    def test_keeps_only_its_inputs(self):
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
+        refs = []
+
+        def fn(a):
+            z = ad.tanh(a)
+            refs.append(weakref.ref(z.data))
+            return ad.tanh(z)
+
+        out = ad.checkpoint(fn, (x,))
+        assert refs[0]() is None
+        assert out.requires_grad
+        backward(ad.tensor_sum(out))
+        t = np.tanh(np.tanh(1.0))
+        assert np.allclose(x.grad, (1 - t * t) * (1 - np.tanh(1.0) ** 2))
+
+    def test_closure_without_inputs_gets_its_gradients(self):
+        w = Tensor(np.arange(3.0), requires_grad=True)
+        out = ad.checkpoint(lambda: ad.scale(w, 2.0), ())
+        backward(ad.tensor_sum(out))
+        assert np.array_equal(w.grad, 2.0 * np.ones(3))
+
+    def test_returned_input_keeps_its_node(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        node = x._node
+        out = ad.checkpoint(lambda a: a, (x,))
+        assert x._node is node and out._node is not node
+        backward(ad.tensor_sum(out))
+        assert np.array_equal(x.grad, np.ones(2))
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = ad.tensor_sum(ad.checkpoint(ad.tanh, (x,)))
+        backward(loss)
+        with pytest.raises(RuntimeError, match="tape already released"):
+            backward(loss)
+
+    def test_no_grad_is_a_plain_call(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        calls = []
+
+        def fn(a):
+            calls.append(a)
+            return ad.tanh(a)
+
+        with ad.no_grad():
+            out = ad.checkpoint(fn, (x,))
+        assert calls == [x] and out._node is None
+
+    def test_backward_under_no_grad_still_recomputes_on_a_tape(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = ad.tensor_sum(ad.checkpoint(ad.tanh, (x,)))
+        with ad.no_grad():
+            backward(loss)
+        assert np.array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -418,6 +418,18 @@ class TestExitCodes:
         assert sorted(json.loads((out / "runlog.json").read_text())) == [
             "best_epoch", "best_val_acc", "checkpoint_path", "diverged", "epochs"]
 
+    def test_validation_divergence_names_validation(self, tmp_path, capsys):
+        # the first Adam step writes parameters near 1e300; the training
+        # solve of epoch 0 was finite, the validation predict after it is not
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\nlr = 1e300\n")
+        code, out = run(tmp_path, "train", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert err == ["diverged: train: training stopped in epoch 0: validation "
+                       "predict: integration diverged at step 0: overflow "
+                       "encountered in matmul; the best parameters were kept"]
+        assert json.loads((out / "runlog.json").read_text())["epochs"] == []
+
     @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
                                        "prior_mu = 1e308\n", "g = 1e200\n"])
     def test_numeric_blow_up_is_one_diverged_line(self, tmp_path, extra):

@@ -9,6 +9,7 @@ from lgnsde.autodiff import Tensor, backward
 from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
 from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath, DivergedError, integrate
+from lgnsde.train import train_model
 from tests.test_autodiff import float_mask_dropout
 
 
@@ -321,6 +322,57 @@ class TestDropoutFollowsRng:
         assert np.isfinite(b) and a != b
 
 
+def full_unroll(fn, inputs, rng=None):
+    """``ad.checkpoint`` without the recompute: every op stays on the tape."""
+    return fn(*inputs)
+
+
+class TestRecompute:
+    # every drift call and the encoder are checkpoint nodes; recomputing
+    # them in backward must give the full unroll's gradients bit for bit
+    graph = make_splits(sbm_generate(3, 12, 0.3, 0.03, 6, 2.0, seed=0),
+                        SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
+
+    def run(self, scheme, ou):
+        graph = self.graph
+
+        def model():
+            return LGNSDEModel(graph.d_in, graph.num_classes, hidden=8, steps=5,
+                               scheme=scheme, dropout=0.2, prior_ou_theta=ou, seed=0)
+
+        path = BrownianPath(1, 5, graph.n, 8)
+        rng = np.random.Generator(np.random.PCG64(2))
+        m = model()
+        loss = m.training_loss(graph, path, rng=rng)
+        forward_state = rng.bit_generator.state
+        backward(loss)
+        assert rng.bit_generator.state == forward_state
+        e = model()
+        backward(e.elbo(graph, path))
+        t = model()
+        log = train_model(t, graph, epochs=4, patience=4, seed=0)
+        arrays = ([p.grad for p in m.parameters()] + [p.grad for p in e.parameters()]
+                  + [p.data for p in t.parameters()])
+        return float(loss.data), arrays, log.epochs, forward_state
+
+    @pytest.mark.parametrize("ou", [None, 0.5])
+    @pytest.mark.parametrize("scheme", ["srk", "em"])
+    def test_equals_full_unroll(self, monkeypatch, scheme, ou):
+        loss, arrays, epochs, state = self.run(scheme, ou)
+        monkeypatch.setattr(ad, "checkpoint", full_unroll)
+        ref_loss, ref_arrays, ref_epochs, ref_state = self.run(scheme, ou)
+        assert loss == ref_loss and epochs == ref_epochs and state == ref_state
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
+
+    def test_drift_and_encoder_are_single_nodes(self):
+        g = make_graph()
+        m = small_model(g, dropout=0.2)
+        h = m.encode(g)
+        out = m.posterior_drift_fn(g, np.random.Generator(np.random.PCG64(0)))(h, 0.0)
+        assert out._node.parents == (h._node,)
+        assert m.encode(g)._node.parents == ()
+
+
 class TestTapeMemory:
     def test_buffers_kept_per_solver_step(self):
         # the slope of one training step's traced peak in the solver steps,
@@ -344,13 +396,13 @@ class TestTapeMemory:
                 tracemalloc.stop()
 
         state_bytes = graph.n * hidden * 8
-        assert (step_peak(16) - step_peak(8)) / 8 / state_bytes <= 12
+        assert (step_peak(16) - step_peak(8)) / 8 / state_bytes <= 4
 
     def test_step_peak_below_whole_path_and_float_masks(self, monkeypatch):
         # the same training step with what the tape held before: the whole
-        # path drawn up front and a float dropout mask per drift call. The
-        # gradients are bitwise equal, and the peak falls by at least the
-        # whole path
+        # path drawn up front, a float dropout mask per drift call and every
+        # drift's intermediates (no recompute). The gradients are bitwise
+        # equal, and the peak falls by at least the whole path
         graph = make_splits(sbm_generate(3, 100, 0.05, 0.005, 16, 2.0, seed=0),
                             SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
         hidden, steps = 32, 16
@@ -372,6 +424,7 @@ class TestTapeMemory:
 
         peak, grads = step(whole_path=False)
         monkeypatch.setattr(ad, "dropout", float_mask_dropout)
+        monkeypatch.setattr(ad, "checkpoint", full_unroll)
         before, reference = step(whole_path=True)
         assert all(np.array_equal(a, b) for a, b in zip(grads, reference))
         assert peak <= before - steps * graph.n * hidden * 8

@@ -5,6 +5,7 @@ the helper thread on which predict draws Brownian noise must call nothing
 it wraps."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ hidden = 4
 steps = 2
 mc_samples = 2
 val_mc = 1
-epochs = 1
+epochs = 3
+patience = 3
 """
 
 
@@ -34,6 +36,18 @@ def _recorder():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing.Recorder()
+
+
+def assert_nested(spans):
+    """Siblings do not overlap and every span lies inside its parent."""
+    last_end = {}  # parent index -> end of its latest child
+    for name, start, end, parent, *_ in spans:
+        assert start <= end
+        assert start >= last_end.get(parent, start), name
+        last_end[parent] = end
+        if parent >= 0:
+            _, p_start, p_end, *_ = spans[parent]
+            assert p_start <= start and end <= p_end, (name, spans[parent][0])
 
 
 def test_tracer_installs_records_and_restores(tmp_path):
@@ -54,6 +68,15 @@ def test_tracer_installs_records_and_restores(tmp_path):
     for owner, attrs in zip(OWNERS, before):
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, (owner, attr)
+    # the recompute of every checkpoint node runs inside the one backward
+    # span of its epoch, so train.backward_s counts each pass once
+    epochs = json.loads((tmp_path / "out" / "runlog.json").read_text())["epochs"]
+    backward = [s for s in recorder.spans if s[0] == "autodiff.backward"]
+    assert len(backward) == len(epochs) == 3
+    recomputed = {recorder.spans[s[3]][0] for s in recorder.spans
+                  if s[0] == "autodiff.spmm" and s[3] >= 0}
+    assert "autodiff.backward" in recomputed
+    assert_nested(recorder.spans)
 
 
 def test_spans_nest_while_noise_is_drawn_ahead():
@@ -84,11 +107,4 @@ def test_spans_nest_while_noise_is_drawn_ahead():
 
     in_lemma1 = {s[0] for s in spans if "verify.lemma1" in ancestors(s)}
     assert {"sde.integrate", "model.drift"} <= in_lemma1
-    last_end = {}  # parent index -> end of its latest child
-    for name, start, end, parent, *_ in spans:
-        assert start <= end
-        assert start >= last_end.get(parent, start), name
-        last_end[parent] = end
-        if parent >= 0:
-            _, p_start, p_end, *_ = spans[parent]
-            assert p_start <= start and end <= p_end, (name, spans[parent][0])
+    assert_nested(spans)
