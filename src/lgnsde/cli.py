@@ -101,8 +101,9 @@ def parse_config(path):
     return cfg
 
 
-def load_dataset(cfg):
-    """The configured graph with its splits."""
+def load_dataset(cfg, ood_class=None):
+    """The configured graph with its splits; a generated one trains no node of
+    `ood_class`, which only ``ood`` names. A bundle's split is used as given."""
     if cfg.dataset == "sbm":
         graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
                              cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
@@ -121,7 +122,7 @@ def load_dataset(cfg):
         spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
                          val_count=cfg.val_count, test_count=cfg.test_count,
                          train_frac=cfg.train_frac, val_frac=cfg.val_frac,
-                         ood_class=cfg.ood_class)
+                         ood_class=ood_class)
         if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
             spec.train_per_class = 20
         graph = make_splits(graph, spec)
@@ -185,10 +186,8 @@ def cmd_train(cfg, out):
 
 
 def cmd_eval(cfg, out, checkpoint):
-    if not checkpoint or not os.path.exists(checkpoint):
-        raise ConfigError(f"missing checkpoint {checkpoint!r}")
-    graph = load_dataset(cfg)
     model = LGNSDEModel.load(checkpoint)
+    graph = load_dataset(cfg)
     if (model.d_in, model.num_classes) != (graph.d_in, graph.num_classes):
         raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
                           f"{model.num_classes} classes, the dataset has "
@@ -203,7 +202,7 @@ def cmd_eval(cfg, out, checkpoint):
 def cmd_ood(cfg, out):
     if cfg.ood_class is None:
         raise ConfigError("ood requires ood_class in the config")
-    graph = load_dataset(cfg)
+    graph = load_dataset(cfg, cfg.ood_class)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
     log = run_training("ood", cfg, model, view, out, "model_ood.npz")
@@ -269,17 +268,29 @@ COMMANDS = {"generate": cmd_generate, "train": cmd_train, "eval": cmd_eval,
             "ood": cmd_ood, "verify": cmd_verify, "gradcheck": cmd_gradcheck}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One stderr line and exit 2, not argparse's usage block."""
+        self.exit(2, f"usage error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="lgnsde")
+    parser = _Parser(prog="lgnsde")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--checkpoint", default=None)
+    parser.add_argument("--checkpoint", default=None,
+                        help="the model.npz to evaluate: required by eval, "
+                             "rejected by every other command")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
+        if args.command == "eval" and args.checkpoint is None:
+            parser.error("eval requires --checkpoint")
+        if args.command != "eval" and args.checkpoint is not None:
+            parser.error(f"--checkpoint is read by eval only, not by {args.command}")
+    except SystemExit as e:  # 0 after --help, 2 after a usage error
+        return e.code
     # an overflow or NaN raises where it is made, so no numpy warning
     # reaches stderr before the one diagnostic line
     try:

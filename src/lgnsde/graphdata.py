@@ -339,8 +339,6 @@ def make_splits(graph, spec):
             train[members[:n_tr]] = True
             val[members[n_tr:n_tr + n_va]] = True
             test[members[n_tr + n_va:]] = True
-    if spec.ood_class is not None:
-        assert not np.any(train & (graph.labels == spec.ood_class))
     for name, mask in (("train", train), ("val", val), ("test", test)):
         if not mask.any():
             raise ValueError(f"empty {name} mask")
@@ -359,8 +357,8 @@ def ood_view(graph, ood_class):
 
     Returns (graph over C-1 classes, is_ood flags). Held-out nodes keep a
     placeholder label 0, are scored only through the flags and leave the
-    validation mask; a split that then cannot validate or score raises
-    ValueError.
+    training and validation masks, whichever split made them; a split that
+    then cannot train, validate or score raises ValueError.
     """
     if not (0 <= ood_class < graph.num_classes):
         raise ValueError(f"ood_class {ood_class} outside [0,{graph.num_classes})")
@@ -371,7 +369,10 @@ def ood_view(graph, ood_class):
     is_ood = graph.labels == ood_class
     labels = np.where(is_ood, 0, remap[graph.labels])
     if graph.val_mask is not None:
-        graph = replace(graph, val_mask=graph.val_mask & ~is_ood)
+        graph = replace(graph, train_mask=graph.train_mask & ~is_ood,
+                        val_mask=graph.val_mask & ~is_ood)
+        if not graph.train_mask.any():
+            raise ValueError(f"every training node is in held-out class {ood_class}")
         if not graph.val_mask.any():
             raise ValueError(f"every validation node is in held-out class {ood_class}")
         if not (graph.test_mask & is_ood).any():

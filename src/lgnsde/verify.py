@@ -132,9 +132,9 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     and perturbed paths of all trials are one batch, laid out as
     (n, 2, trials, hidden); a pair shares its trial's increments, so with a
     constant diffusion the noise cancels exactly (the lemma's L_g^2/2 term
-    is 0). The increments are drawn one (n, 1, trials, hidden) step at a
-    time, after the directions, the same stream as one (steps, n, 1,
-    trials, hidden) draw. Two exact statements are gated:
+    is 0). After the directions, ``drawn_ahead`` draws the increments one
+    (n, 1, trials, hidden) step at a time, as for lemma 1: the same stream
+    as one (steps, n, 1, trials, hidden) draw. Two exact statements are gated:
 
     - ``certificate_pass``: the realized L_f, the largest ratio
       ||F - F~|| / ||H - H~|| over the drift calls that advance the paths,
@@ -162,14 +162,6 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     dirs = rng.standard_normal((n, trials, hidden))
     dirs /= np.linalg.norm(dirs, axis=(0, 2), keepdims=True)
-    scale = np.sqrt(cfg.dt)
-
-    def increments():
-        """One step of noise per trial at a time, for both members of its pair."""
-        for _ in range(cfg.steps):
-            dw = rng.standard_normal((n, 1, trials, hidden)) * scale
-            yield np.broadcast_to(dw, (n, 2, trials, hidden)).reshape(-1, hidden)
-
     realized_lf = 0.0
     rows = []
 
@@ -192,11 +184,14 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
         if j in grid:
             rows.append({"t": float(cfg.t0 + j * cfg.dt), "measured": float(gap(h).mean())})
 
-    with no_grad():
+    with no_grad(), drawn_ahead(itertools.repeat(rng, cfg.steps), (n, 1, trials, hidden),
+                                cfg.dt) as draws:
         h0 = model.encode(graph).data[:, None]
         start = np.stack([np.broadcast_to(h0, dirs.shape), h0 + epsilon * dirs], axis=1)
+        increments = (np.broadcast_to(dw, (n, 2, trials, hidden)).reshape(-1, hidden)
+                      for dw in draws)
         integrate(Tensor(start.reshape(-1, hidden)), coupled_drift, None, cfg,
-                  increments(), observe)
+                  increments, observe)
     l_f = estimate_lipschitz(model)
     for r in rows:
         elapsed = r["t"] - cfg.t0

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lgnsde import cli
 from lgnsde.cli import ConfigError, main, parse_config
 from lgnsde.graphdata import SplitSpec, make_splits, save_bundle, sbm_generate
 from lgnsde.model import LGNSDEModel
+from lgnsde.train import train_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 TINY = """
@@ -80,6 +83,14 @@ def test_import_loads_no_scipy_stats_or_special():
 
 
 class TestParseConfig:
+    def test_readme_example_config_parses(self, tmp_path):
+        # a README key that drifts from RunConfig fails here
+        text = README.read_text()
+        block = text.split("with `#` comments. Example:\n\n```\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(write_cfg(tmp_path, text=block))
+        assert cfg.ood_class == 2
+        assert cfg.kl_weight is None
+
     def test_round_trip_values(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path))
         assert cfg.sbm_classes == 3
@@ -129,6 +140,43 @@ class TestExitCodes:
     def test_unknown_command(self, tmp_path):
         path = write_cfg(tmp_path)
         assert main(["frobnicate", "--config", path]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate", "--config", "run.cfg"], "argument command: invalid choice: 'frobnicate'"),
+        (["train"], "the following arguments are required: --config"),
+        (["train", "--config", "run.cfg", "--seed", "x"], "argument --seed: invalid int value"),
+        (["eval", "--config", "run.cfg"], "eval requires --checkpoint"),
+    ], ids=["unknown-command", "no-config", "bad-seed", "eval-no-checkpoint"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        # argparse's usage block is not printed, only the one line
+        write_cfg(tmp_path)
+        argv = [str(tmp_path / a) if a == "run.cfg" else a for a in argv]
+        code, out = run(tmp_path, *argv)
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"usage error: {message}"), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "ood", "verify", "gradcheck"])
+    def test_checkpoint_is_rejected_outside_eval(self, tmp_path, capsys, command):
+        # only eval reads it: verify once checked untrained weights and exited 0
+        path = write_cfg(tmp_path, extra="ood_class = 2\n")
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        code, out = run(tmp_path, command, "--config", path, "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"usage error: --checkpoint is read by eval only, not by {command}"]
+        assert not out.exists()
+
+    def test_help_exits_zero(self):
+        proc = run_subprocess("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: lgnsde")
+        assert "--checkpoint" in proc.stdout
+        assert proc.stderr == ""
 
     def test_ood_without_ood_class(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -263,14 +311,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind, message", [
         ("empty", "No data left in file"), ("truncated", ""), ("text", ""),
         ("no-W1", "'W1 is not a file in the archive'"),
-        ("no-config", "'config is not a file in the archive'")],
-        ids=["empty", "truncated", "text", "no-W1", "no-config"])
+        ("no-config", "'config is not a file in the archive'"),
+        ("missing", "[Errno 2] No such file or directory: '{}'")],
+        ids=["empty", "truncated", "text", "no-W1", "no-config", "missing"])
     def test_unreadable_checkpoint_is_one_line(self, tmp_path, kind, message):
         ckpt = tmp_path / "model.npz"
         LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
         with np.load(ckpt) as z:
             arrays = dict(z)
-        if kind == "empty":
+        message = message.format(ckpt)
+        if kind == "missing":
+            ckpt.unlink()
+        elif kind == "empty":
             ckpt.write_bytes(b"")
         elif kind == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
@@ -457,6 +509,71 @@ class TestExitCodes:
         err = proc.stderr.strip().splitlines()
         assert proc.returncode == 1
         assert len(err) == 1 and err[0].startswith(f"diverged: {command}: "), proc.stderr
+
+
+class TestHeldOutClass:
+    """Only `ood` holds a class out, and it holds it out of every mask."""
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "verify"])
+    def test_ood_class_changes_no_other_command(self, tmp_path, monkeypatch, capsys,
+                                                command):
+        # ood_class shapes the split of ood alone, so the key changes no byte here
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        written = []
+        for name, extra in (("plain", ""), ("ood2", "ood_class = 2\n")):
+            path = write_cfg(tmp_path, name=f"{name}.cfg", extra=extra)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # the same relative --out for both
+            argv = [command, "--config", path, "--out", "out"]
+            if command == "eval":
+                argv += ["--checkpoint", str(ckpt)]
+            assert main(argv) == 0
+            files = {p.relative_to(tmp_path / name): p.read_bytes()
+                     for p in sorted((tmp_path / name).rglob("*")) if p.is_file()}
+            written.append((files, capsys.readouterr()))
+        assert written[0][0]
+        assert written[0] == written[1]
+
+    @staticmethod
+    def _bundle(tmp_path):
+        """A 3x10 SBM bundle split without ood_class, so 3 training nodes a
+        class; its graph and a config that runs ood on it."""
+        graph = make_splits(sbm_generate(3, 10, 0.3, 0.03, 6, 2.0, seed=0),
+                            SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
+        save_bundle(graph, tmp_path / "b")
+        return graph, write_cfg(tmp_path, extra=f"dataset = bundle\nbundle_path = "
+                                f"{tmp_path / 'b'}\nood_class = 2\nepochs = 2\n")
+
+    def test_ood_never_trains_a_held_out_bundle_node(self, tmp_path, monkeypatch):
+        # the bundle's split trains class 2; ood once trained those nodes as class 0
+        graph, path = self._bundle(tmp_path)
+        held_out = graph.labels == 2
+        assert (graph.train_mask & held_out).sum() == 3
+        trained = []
+
+        def recording(model, graph, **kw):
+            trained.append(graph)
+            return train_model(model, graph, **kw)
+
+        monkeypatch.setattr(cli, "train_model", recording)
+        code, _ = run(tmp_path, "ood", "--config", path)
+        assert code == 0
+        (view,) = trained
+        assert not (view.train_mask & held_out).any()
+        assert np.array_equal(view.train_mask, graph.train_mask & ~held_out)
+
+    def test_bundle_training_only_the_held_out_class(self, tmp_path, capsys):
+        graph, path = self._bundle(tmp_path)
+        splits_path = tmp_path / "b" / "splits.json"
+        splits = json.loads(splits_path.read_text())
+        splits["train"] = np.flatnonzero(graph.labels == 2).tolist()
+        splits_path.write_text(json.dumps(splits))
+        code, out = run(tmp_path, "ood", "--config", path)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == ["config error: every training node is in held-out class 2"]
+        assert not out.exists()
 
 
 class TestGenerate:

@@ -260,11 +260,22 @@ class TestSplits:
         assert np.array_equal(view.test_mask, g.test_mask)
         assert (view.test_mask & is_ood).any()
 
+    def test_ood_view_drops_held_out_nodes_from_a_given_train_mask(self):
+        # a bundle's split, made without ood_class, trains the held-out class
+        g = sbm_generate(3, 10, 0.3, 0.03, 4, 2.0, seed=0)
+        g = make_splits(g, SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
+        view, is_ood = ood_view(g, 2)
+        assert (g.train_mask & is_ood).sum() == 3
+        assert not (view.train_mask & is_ood).any()
+        assert np.array_equal(view.train_mask, g.train_mask & ~is_ood)
+
     @pytest.mark.parametrize("mask, keep, message", [
+        ("train_mask", "ood", "every training node is in held-out class 1"),
         ("val_mask", "ood", "every validation node is in held-out class 1"),
         ("test_mask", "in", "no test node is in held-out class 1"),
         ("test_mask", "ood+2", "in-distribution test mask holds fewer than two"),
-    ], ids=["all-val-held-out", "no-held-out-test", "one-in-test-class"])
+    ], ids=["all-train-held-out", "all-val-held-out", "no-held-out-test",
+            "one-in-test-class"])
     def test_ood_view_rejects_split_it_cannot_score(self, mask, keep, message):
         g = sbm_generate(3, 20, 0.2, 0.05, 4, 1.0, seed=0)
         g = make_splits(g, SplitSpec(seed=0, train_frac=0.3, val_frac=0.3,

@@ -82,8 +82,9 @@ def test_tracer_installs_records_and_restores(tmp_path):
 def test_spans_nest_while_noise_is_drawn_ahead():
     # a span recorded from a second thread would overlap a sibling or stick
     # out of its parent; a short switch interval makes threads interleave.
-    # predict draws its paths ahead; lemma 1 runs the same solver and drift
-    # on one batch, so their spans must nest under verify.lemma1
+    # predict draws its paths ahead; lemmas 1 and 2 draw their steps ahead
+    # and run the same solver and drift on one batch, so their spans must
+    # nest under verify.lemma1 and verify.lemma2
     graph = graphdata.make_splits(graphdata.sbm_generate(3, 4, 0.3, 0.03, 4, 2.0, seed=0),
                                   graphdata.SplitSpec(seed=0, train_frac=0.4, val_frac=0.3))
     m = model.LGNSDEModel(graph.d_in, graph.num_classes, hidden=4, steps=3, seed=0)
@@ -94,17 +95,20 @@ def test_spans_nest_while_noise_is_drawn_ahead():
         recorder.install()
         m.predict(graph, mc_samples=4)
         verify.lemma1_check(m, graph, mc=1000, grid_points=2)
+        verify.lemma2_check(m, graph, trials=20, grid_points=2)
     finally:
         recorder.uninstall()
         sys.setswitchinterval(interval)
     spans = recorder.spans
-    assert {"sde.integrate", "model.drift", "verify.lemma1"} <= {s[0] for s in spans}
+    assert {"sde.integrate", "model.drift", "verify.lemma1",
+            "verify.lemma2"} <= {s[0] for s in spans}
 
     def ancestors(span):
         while span[3] >= 0:
             span = spans[span[3]]
             yield span[0]
 
-    in_lemma1 = {s[0] for s in spans if "verify.lemma1" in ancestors(s)}
-    assert {"sde.integrate", "model.drift"} <= in_lemma1
+    for lemma in ("verify.lemma1", "verify.lemma2"):
+        inside = {s[0] for s in spans if lemma in ancestors(s)}
+        assert {"sde.integrate", "model.drift"} <= inside, lemma
     assert_nested(spans)

@@ -15,6 +15,33 @@ from lgnsde.verify import (elbo_gradient_check, estimate_lipschitz,
 from tests.test_model import make_graph, small_model
 
 
+def assert_no_thread_outlives_a_raising_drift(check):
+    """`check` on a drift that raises in step 2 re-raises it and joins its
+    noise helper thread."""
+    g = make_graph()
+    m = small_model(g, hidden=2)
+    drift_fn = m.posterior_drift_fn
+    calls = []
+
+    def failing(graph, rng=None):
+        drift = drift_fn(graph, rng)
+
+        def raising(h, t):
+            calls.append(t)
+            if len(calls) == 5:  # in step 2, 2 SRK drift calls each
+                raise RuntimeError("drift failed")
+            return drift(h, t)
+
+        return raising
+
+    m.posterior_drift_fn = failing
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="drift failed"):
+        check(m, g, seed=0)
+    assert len(calls) == 5
+    assert threading.active_count() == before
+
+
 class TestEstimateLipschitz:
     @pytest.mark.parametrize("seed", range(3))
     def test_bounds_secants_and_jacobians(self, seed):
@@ -253,28 +280,7 @@ class TestLemma1:
         assert len(streamed["grid"]) == cfg.steps
 
     def test_no_thread_outlives_a_raising_drift(self):
-        g = make_graph()
-        m = small_model(g, hidden=2)
-        drift_fn = m.posterior_drift_fn
-        calls = []
-
-        def failing(graph, rng=None):
-            drift = drift_fn(graph, rng)
-
-            def raising(h, t):
-                calls.append(t)
-                if len(calls) == 5:  # in step 2, 2 SRK drift calls each
-                    raise RuntimeError("drift failed")
-                return drift(h, t)
-
-            return raising
-
-        m.posterior_drift_fn = failing
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="drift failed"):
-            lemma1_check(m, g, seed=0)
-        assert len(calls) == 5
-        assert threading.active_count() == before
+        assert_no_thread_outlives_a_raising_drift(lemma1_check)
 
     # SRK evaluates the drift at t + dt inside step 2, where it overflows
     @pytest.mark.parametrize("scheme, step", [("em", 3), ("srk", 2)])
@@ -381,6 +387,9 @@ class TestLemma2:
         finally:
             tracemalloc.stop()
         assert peak < one_shot, peak
+
+    def test_no_thread_outlives_a_raising_drift(self):
+        assert_no_thread_outlives_a_raising_drift(lemma2_check)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unnormalized_operator_fails(self, seed):
