@@ -101,32 +101,36 @@ def parse_config(path):
     return cfg
 
 
-def load_dataset(cfg, ood_class=None):
-    """The configured graph with its splits; a generated one trains no node of
-    `ood_class`, which only ``ood`` names. A bundle's split is used as given."""
+def load_dataset(cfg):
+    """The configured graph, with the masks of a bundle's splits.json."""
     if cfg.dataset == "sbm":
-        graph = sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
-                             cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
-                             cfg.sbm_feature_gap, seed=cfg.seed)
-    elif cfg.dataset == "bundle":
+        return sbm_generate(cfg.sbm_classes, cfg.sbm_nodes_per_class,
+                            cfg.sbm_p_in, cfg.sbm_p_out, cfg.sbm_feature_dim,
+                            cfg.sbm_feature_gap, seed=cfg.seed)
+    if cfg.dataset == "bundle":
         if not cfg.bundle_path:
             raise ConfigError("dataset=bundle needs bundle_path")
-        graph = load_bundle(cfg.bundle_path)
-    elif cfg.dataset == "cora_raw":
+        return load_bundle(cfg.bundle_path)
+    if cfg.dataset == "cora_raw":
         if not (cfg.cora_content and cfg.cora_cites):
             raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
-        graph = load_cora_raw(cfg.cora_content, cfg.cora_cites)
-    else:
-        raise ConfigError(f"unknown dataset {cfg.dataset!r}")
-    if graph.train_mask is None:
-        spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
-                         val_count=cfg.val_count, test_count=cfg.test_count,
-                         train_frac=cfg.train_frac, val_frac=cfg.val_frac,
-                         ood_class=ood_class)
-        if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
-            spec.train_per_class = 20
-        graph = make_splits(graph, spec)
-    return graph
+        return load_cora_raw(cfg.cora_content, cfg.cora_cites)
+    raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+
+
+def split_dataset(cfg, graph, ood_class=None):
+    """`graph` with the configured train/val/test masks; one that has masks
+    (a bundle's split) is returned as given. The split trains no node of
+    `ood_class`, which only ``ood`` names."""
+    if graph.train_mask is not None:
+        return graph
+    spec = SplitSpec(seed=cfg.seed, train_per_class=cfg.train_per_class,
+                     val_count=cfg.val_count, test_count=cfg.test_count,
+                     train_frac=cfg.train_frac, val_frac=cfg.val_frac,
+                     ood_class=ood_class)
+    if cfg.dataset == "cora_raw" and cfg.train_per_class is None and cfg.train_frac is None:
+        spec.train_per_class = 20
+    return make_splits(graph, spec)
 
 
 def build_model(cfg, graph):
@@ -162,7 +166,7 @@ def _write_json(path, obj):
 
 
 def cmd_generate(cfg, out):
-    graph = load_dataset(cfg)
+    graph = split_dataset(cfg, load_dataset(cfg))
     dest = os.path.join(out, "bundle")
     save_bundle(graph, dest)
     print(f"wrote bundle with {graph.n} nodes, {len(graph.edges)} edges to {dest}")
@@ -170,7 +174,7 @@ def cmd_generate(cfg, out):
 
 
 def cmd_train(cfg, out):
-    graph = load_dataset(cfg)
+    graph = split_dataset(cfg, load_dataset(cfg))
     model = build_model(cfg, graph)
     log = run_training("train", cfg, model, graph, out, "model.npz")
     report, probs = test_report(model, graph, master_seed=cfg.seed)
@@ -187,7 +191,7 @@ def cmd_train(cfg, out):
 
 def cmd_eval(cfg, out, checkpoint):
     model = LGNSDEModel.load(checkpoint)
-    graph = load_dataset(cfg)
+    graph = split_dataset(cfg, load_dataset(cfg))
     if (model.d_in, model.num_classes) != (graph.d_in, graph.num_classes):
         raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
                           f"{model.num_classes} classes, the dataset has "
@@ -202,7 +206,7 @@ def cmd_eval(cfg, out, checkpoint):
 def cmd_ood(cfg, out):
     if cfg.ood_class is None:
         raise ConfigError("ood requires ood_class in the config")
-    graph = load_dataset(cfg, cfg.ood_class)
+    graph = split_dataset(cfg, load_dataset(cfg), cfg.ood_class)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
     log = run_training("ood", cfg, model, view, out, "model_ood.npz")

@@ -128,46 +128,46 @@ def save_bundle(graph, path):
             json.dump(splits, f, sort_keys=True)
 
 
+def _read_lines(path, parse):
+    """Call parse(lineno, fields) on each line of the text file at `path`
+    that is not blank, in order: the line's surrounding whitespace is
+    stripped and the rest split on tabs. A ValueError that parse raises
+    comes back as one `path:lineno: ...` error."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    parse(lineno, line.strip().split("\t"))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
+
+
+def _pair(fields, expected):
+    if len(fields) != 2:
+        raise ValueError(f"expected {expected!r}")
+    return fields
+
+
 def load_bundle(path):
     """Load a graph bundle directory; see save_bundle for the layout."""
     nodes_path = os.path.join(path, "nodes.tsv")
-    edges_path = os.path.join(path, "edges.tsv")
-    feats, labels = [], []
-    width = None
-    with open(nodes_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ValueError(f"{nodes_path}:{lineno}: expected id, label, features")
-            try:
-                nid = int(parts[0])
-                labels.append(int(parts[1]))
-                feats.append([float(v) for v in parts[2:]])
-            except ValueError as e:
-                raise ValueError(f"{nodes_path}:{lineno}: {e}") from None
-            if nid != lineno - 1:
-                raise ValueError(f"{nodes_path}:{lineno}: node ids must be 0-based contiguous")
-            if width is None:
-                width = len(parts) - 2
-            elif len(parts) - 2 != width:
-                raise ValueError(f"{nodes_path}:{lineno}: feature width {len(parts) - 2} != {width}")
+    feats, labels, edges = [], [], []
+
+    def node(lineno, fields):
+        if len(fields) < 3:
+            raise ValueError("expected id, label, features")
+        nid, label, row = int(fields[0]), int(fields[1]), [float(v) for v in fields[2:]]
+        if nid != len(labels):
+            raise ValueError("node ids must be 0-based contiguous")
+        if feats and len(row) != len(feats[0]):
+            raise ValueError(f"feature width {len(row)} != {len(feats[0])}")
+        labels.append(label)
+        feats.append(row)
+
+    _read_lines(nodes_path, node)
+    _read_lines(os.path.join(path, "edges.tsv"), lambda lineno, fields: edges.append(
+        [int(v) for v in _pair(fields, "src<TAB>dst")]))
     n = len(labels)
-    edges = []
-    with open(edges_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{edges_path}:{lineno}: expected 'src<TAB>dst'")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as e:
-                raise ValueError(f"{edges_path}:{lineno}: {e}") from None
     graph = build_graph(np.asarray(feats, dtype=np.float64).reshape(n, -1),
                         labels, edges, where=nodes_path)
     splits_path = os.path.join(path, "splits.json")
@@ -191,6 +191,11 @@ def load_bundle(path):
             m = np.zeros(n, dtype=bool)
             m[idx] = True
             masks[key] = m
+        for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
+            shared = np.flatnonzero(masks[a] & masks[b])
+            if shared.size:
+                raise ValueError(f"{splits_path}: node {shared[0]} is in both the "
+                                 f"{a!r} and the {b!r} list")
         _check_scorable(graph.labels[masks["test"]], f"{splits_path}: the 'test' list")
         graph = replace(graph, train_mask=masks["train"],
                         val_mask=masks["val"], test_mask=masks["test"])
@@ -200,46 +205,34 @@ def load_bundle(path):
 def load_cora_raw(content_path, cites_path):
     """Parse the raw Cora citation files into a Graph.
 
-    String node ids are remapped to dense 0-based indices; citations whose
-    endpoints are missing from the content file are dropped with a warning.
+    String node ids are remapped to dense 0-based indices in file order; a
+    repeated id is a ValueError, and citations whose endpoints are missing
+    from the content file are dropped with a warning.
     """
-    ids, feats, label_names = [], [], []
-    with open(content_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ValueError(f"{content_path}:{lineno}: expected id, features, label")
-            ids.append(parts[0])
-            try:
-                feats.append([float(v) for v in parts[1:-1]])
-            except ValueError as e:
-                raise ValueError(f"{content_path}:{lineno}: {e}") from None
-            label_names.append(parts[-1])
-            if len(parts) != len(feats[0]) + 2:
-                raise ValueError(f"{content_path}:{lineno}: inconsistent feature width")
-    index = {nid: i for i, nid in enumerate(ids)}
+    line_of, feats, label_names, edges = {}, [], [], []
+
+    def paper(lineno, fields):
+        if len(fields) < 3:
+            raise ValueError("expected id, features, label")
+        if fields[0] in line_of:
+            raise ValueError(f"paper id {fields[0]!r} is already on line "
+                             f"{line_of[fields[0]]}")
+        feats.append([float(v) for v in fields[1:-1]])
+        if len(feats[-1]) != len(feats[0]):
+            raise ValueError("inconsistent feature width")
+        line_of[fields[0]] = lineno
+        label_names.append(fields[-1])
+
+    _read_lines(content_path, paper)
+    index = {nid: i for i, nid in enumerate(line_of)}
     classes = sorted(set(label_names))
     labels = np.array([classes.index(c) for c in label_names], dtype=np.int64)
-    edges, dropped = [], 0
-    with open(cites_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{cites_path}:{lineno}: expected 'cited<TAB>citing'")
-            a, b = index.get(parts[0]), index.get(parts[1])
-            if a is None or b is None:
-                dropped += 1
-                continue
-            edges.append((a, b))
-    if dropped:
-        warnings.warn(f"dropped {dropped} citations with unknown endpoints")
-    return build_graph(np.asarray(feats, dtype=np.float64), labels, edges,
+    _read_lines(cites_path, lambda lineno, fields: edges.append(
+        [index.get(v) for v in _pair(fields, "cited<TAB>citing")]))
+    kept = [e for e in edges if None not in e]
+    if len(kept) < len(edges):
+        warnings.warn(f"dropped {len(edges) - len(kept)} citations with unknown endpoints")
+    return build_graph(np.asarray(feats, dtype=np.float64), labels, kept,
                        num_classes=len(classes))
 
 

@@ -388,6 +388,8 @@ class TestExitCodes:
         ("test", -1, "'test' index -1 is not a node in 0..17"),
         ("val", None, "no 'val' list of node indices"),
         ("test", "clear", "the 'test' list is empty"),
+        # every test node once trained too, and train exited 0
+        ("train", "test", "node 1 is in both the 'train' and the 'test' list"),
     ])
     def test_bad_bundle_splits(self, tmp_path, capsys, key, index, message):
         graph = sbm_generate(3, 6, 0.3, 0.03, 6, 2.0, seed=0)
@@ -399,6 +401,8 @@ class TestExitCodes:
             del splits[key]
         elif index == "clear":
             splits[key] = []
+        elif index == "test":
+            splits[key] += splits["test"]
         else:
             splits[key].append(index)
         splits_path.write_text(json.dumps(splits))
@@ -435,6 +439,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert err == ["config error: node 4 has a non-finite feature"]
+
+    @pytest.mark.parametrize("dataset, files, message", [
+        # a blank line once shifted every later node id by one, silently
+        ("bundle", {"nodes.tsv": "0\t0\t1.0\n\n2\t1\t2.0\n3\t1\t3.0\n", "edges.tsv": "0\t2\n"},
+         "nodes.tsv:3: node ids must be 0-based contiguous"),
+        # the citation once joined only the second 'a', orphaning node 0
+        ("cora_raw", {"x.content": "a\t1\tml\nb\t0\tdb\na\t1\tml\n", "x.cites": "a\tb\n"},
+         "x.content:3: paper id 'a' is already on line 1"),
+    ])
+    def test_bad_data_line_is_config_error(self, tmp_path, capsys, dataset, files, message):
+        d = tmp_path / "data"
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(text)
+        extra = (f"dataset = bundle\nbundle_path = {d}\n" if dataset == "bundle" else
+                 f"dataset = cora_raw\ncora_content = {d / 'x.content'}\n"
+                 f"cora_cites = {d / 'x.cites'}\n")
+        code, out = run(tmp_path, "train", "--config", write_cfg(tmp_path, extra=extra))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"config error: {d / message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("label, message", [
         (-1, "node 4 has label -1, outside 0..2"),
@@ -568,6 +594,8 @@ class TestHeldOutClass:
         splits_path = tmp_path / "b" / "splits.json"
         splits = json.loads(splits_path.read_text())
         splits["train"] = np.flatnonzero(graph.labels == 2).tolist()
+        for key in ("val", "test"):  # the lists stay disjoint
+            splits[key] = [i for i in splits[key] if i not in splits["train"]]
         splits_path.write_text(json.dumps(splits))
         code, out = run(tmp_path, "ood", "--config", path)
         err = capsys.readouterr().err.strip().splitlines()
@@ -672,6 +700,23 @@ class TestVerifyAndGradcheck:
             assert summary[key] is True
         assert (out / "lemma1.csv").exists()
         assert (out / "lemma2.csv").exists()
+
+    def test_verify_reads_no_split_key(self, tmp_path, monkeypatch, capsys):
+        # no lemma reads a mask, so a split that train refuses changes no
+        # byte of verify; verify once failed on it with "empty val mask"
+        written = []
+        for name, extra in (("plain", ""), ("split", "train_per_class = 3\nval_count = 0\n")):
+            path = write_cfg(tmp_path, name=f"{name}.cfg", extra=extra)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # the same relative --out for both
+            assert main(["verify", "--config", path, "--out", "out"]) == 0
+            files = {p.relative_to(tmp_path / name): p.read_bytes()
+                     for p in sorted((tmp_path / name).rglob("*")) if p.is_file()}
+            written.append((files, capsys.readouterr()))
+        assert len(written[0][0]) == 7
+        assert written[0] == written[1]
+        assert main(["train", "--config", path, "--out", "train"]) == 2
+        assert capsys.readouterr().err == "config error: empty val mask\n"
 
     def test_gradcheck_exit_zero(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

@@ -89,6 +89,33 @@ class TestBundle:
         with pytest.raises(ValueError, match="width"):
             load_bundle(d)
 
+    @pytest.mark.parametrize("blank", ["", "  ", " \t "])
+    def test_blank_line_counts_no_node(self, tmp_path, blank):
+        # ids count the nodes read, not the lines: after a blank line the
+        # next id is 1, and an id of 2 once shifted every later node
+        d = tmp_path / "b"
+        d.mkdir()
+        (d / "nodes.tsv").write_text(f"0\t0\t1.0\n{blank}\n1\t1\t2.0\n")
+        (d / "edges.tsv").write_text(f"{blank}\n0\t1\n")
+        g = load_bundle(d)
+        assert g.n == 2 and np.array_equal(g.labels, [0, 1])
+        assert np.array_equal(g.edges, [[0, 1]])
+        (d / "nodes.tsv").write_text(f"0\t0\t1.0\n{blank}\n2\t1\t2.0\n3\t1\t3.0\n")
+        with pytest.raises(ValueError, match=r"nodes.tsv:3: node ids must be 0-based contiguous$"):
+            load_bundle(d)
+
+    def test_overlapping_split_lists(self, tmp_path):
+        graph = sbm_generate(3, 6, 0.3, 0.03, 4, 2.0, seed=0)
+        save_bundle(make_splits(graph, SplitSpec(seed=0, train_frac=0.34,
+                                                 val_frac=0.33)), tmp_path / "b")
+        splits_path = tmp_path / "b" / "splits.json"
+        splits = json.loads(splits_path.read_text())
+        splits["train"] += splits["test"]
+        splits_path.write_text(json.dumps(splits))
+        with pytest.raises(ValueError, match=f"node {min(splits['test'])} is in both "
+                           "the 'train' and the 'test' list"):
+            load_bundle(tmp_path / "b")
+
 
 class TestCoraRaw:
     def _write(self, tmp_path, content, cites):
@@ -118,6 +145,13 @@ class TestCoraRaw:
         content = "a\tnotanumber\tml\n"
         with pytest.raises(ValueError, match=":1:"):
             load_cora_raw(*self._write(tmp_path, content, ""))
+
+    def test_repeated_paper_id(self, tmp_path):
+        # the citation once joined only the second 'a', orphaning node 0
+        content = "a\t1\tml\nb\t0\tdb\na\t1\tml\n"
+        with pytest.raises(ValueError) as e:
+            load_cora_raw(*self._write(tmp_path, content, "a\tb\n"))
+        assert str(e.value) == f"{tmp_path / 'x.content'}:3: paper id 'a' is already on line 1"
 
 
 def sbm_one_shot(classes, nodes_per_class, p_in, p_out, feature_dim, feature_gap, seed):
