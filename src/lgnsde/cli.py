@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -141,22 +142,31 @@ def build_model(cfg, graph):
                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
 
 
-def run_training(command, cfg, model, graph, out, name):
+@contextmanager
+def run_training(cfg, model, graph, out, name):
     """Check the configured training settings, make `out`, run train_model
-    with them and save the model to out/name; one stderr line naming
-    `command` if it diverged."""
+    with them, save the model to out/name and hand the RunLog to the
+    command's reports. If training diverged, one DivergedError says so
+    once the reports are made, or also names the test predict's own
+    divergence if they cannot be."""
     check_settings(cfg.epochs, cfg.patience, cfg.lr, cfg.val_mc, cfg.kl_weight)
     os.makedirs(out, exist_ok=True)
     log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
                       kl_weight=cfg.kl_weight, verbose=True)
-    if log.diverged:
-        print(f"diverged: {command}: training stopped in epoch {len(log.epochs)}: "
-              f"{log.divergence}; the best parameters were kept", file=sys.stderr)
     model.save(os.path.join(out, name))
     # the name only: keeps runlog.json byte-identical across output dirs
     log.checkpoint_path = name
-    return log
+    if not log.diverged:
+        yield log
+        return
+    stopped = (f"training stopped in epoch {len(log.epochs)}: {log.divergence}; "
+               "the best parameters were kept")
+    try:
+        yield log
+    except (DivergedError, FloatingPointError) as e:
+        raise DivergedError(f"{stopped}; test predict: {e}") from e
+    raise DivergedError(stopped)
 
 
 def _write_json(path, obj):
@@ -176,17 +186,17 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = split_dataset(cfg, load_dataset(cfg))
     model = build_model(cfg, graph)
-    log = run_training("train", cfg, model, graph, out, "model.npz")
-    report, probs = test_report(model, graph, master_seed=cfg.seed)
-    _write_json(os.path.join(out, "runlog.json"), asdict(log))
-    report.to_json(os.path.join(out, "eval.json"))
-    ent = entropy_rows(probs[graph.test_mask])
-    correct = probs[graph.test_mask].argmax(axis=1) == graph.labels[graph.test_mask]
-    entropy_histogram_csv(os.path.join(out, "entropy_hist.csv"),
-                          ent[correct], ent[~correct],
-                          label_a="correct", label_b="incorrect")
-    print(report.to_json())
-    return 1 if log.diverged else 0
+    with run_training(cfg, model, graph, out, "model.npz") as log:
+        _write_json(os.path.join(out, "runlog.json"), asdict(log))
+        report, probs = test_report(model, graph, master_seed=cfg.seed)
+        report.to_json(os.path.join(out, "eval.json"))
+        ent = entropy_rows(probs[graph.test_mask])
+        correct = probs[graph.test_mask].argmax(axis=1) == graph.labels[graph.test_mask]
+        entropy_histogram_csv(os.path.join(out, "entropy_hist.csv"),
+                              ent[correct], ent[~correct],
+                              label_a="correct", label_b="incorrect")
+        print(report.to_json())
+    return 0
 
 
 def cmd_eval(cfg, out, checkpoint):
@@ -209,21 +219,21 @@ def cmd_ood(cfg, out):
     graph = split_dataset(cfg, load_dataset(cfg), cfg.ood_class)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    log = run_training("ood", cfg, model, view, out, "model_ood.npz")
-    probs = model.predict(view, master_seed=cfg.seed)
-    test = np.asarray(view.test_mask, dtype=bool)
-    block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
-    in_test = test & ~is_ood
-    report = evaluate(probs, view.labels, in_test)
-    report.ood = block
-    _write_json(os.path.join(out, "runlog.json"), asdict(log))
-    report.to_json(os.path.join(out, "ood.json"))
-    ent = entropy_rows(probs[test])
-    entropy_histogram_csv(os.path.join(out, "ood_entropy_hist.csv"),
-                          ent[~is_ood[test]], ent[is_ood[test]],
-                          label_a="in", label_b="ood")
-    print(report.to_json())
-    return 1 if log.diverged else 0
+    with run_training(cfg, model, view, out, "model_ood.npz") as log:
+        _write_json(os.path.join(out, "runlog.json"), asdict(log))
+        probs = model.predict(view, master_seed=cfg.seed)
+        test = np.asarray(view.test_mask, dtype=bool)
+        block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
+        in_test = test & ~is_ood
+        report = evaluate(probs, view.labels, in_test)
+        report.ood = block
+        report.to_json(os.path.join(out, "ood.json"))
+        ent = entropy_rows(probs[test])
+        entropy_histogram_csv(os.path.join(out, "ood_entropy_hist.csv"),
+                              ent[~is_ood[test]], ent[is_ood[test]],
+                              label_a="in", label_b="ood")
+        print(report.to_json())
+    return 0
 
 
 def cmd_verify(cfg, out):

@@ -6,6 +6,7 @@ softmax at the final time. Prediction averages softmax outputs over
 independent Brownian samples.
 """
 
+import itertools
 import json
 import zipfile
 
@@ -132,21 +133,32 @@ class LGNSDEModel:
         """MC posterior predictive: average softmax over Brownian samples.
 
         Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
-        draw; the next sample's whole (steps, n, hidden) path is drawn on
-        ``drawn_ahead``'s helper thread while the current one integrates."""
+        draw: ``drawn_ahead`` draws its (n, hidden) steps one at a time
+        from one ``PCG64(seeds[i])`` on its helper thread, into a ring of
+        `steps` buffers, one path long. The helper stays up to steps - 1
+        draws ahead of the solver, so the next sample's steps go into the
+        buffers the current one has finished with. A DivergedError names
+        its ``sample`` i, and its message starts ``MC sample i: ``."""
         n_mc = self.mc_samples if mc_samples is None else mc_samples
         if n_mc < 1:
             raise ValueError("mc_samples must be >= 1")
         cfg = self.sde_config
         seeds = np.random.SeedSequence(master_seed).generate_state(n_mc)
-        rngs = (np.random.Generator(np.random.PCG64(int(s))) for s in seeds)
+        rngs = itertools.chain.from_iterable(
+            itertools.repeat(np.random.Generator(np.random.PCG64(int(s))), cfg.steps)
+            for s in seeds)
         samples = []
-        with no_grad(), drawn_ahead(rngs, (cfg.steps, graph.n, self.hidden),
-                                    cfg.dt) as paths:
+        with no_grad(), drawn_ahead(rngs, (graph.n, self.hidden), cfg.dt,
+                                    buffers=cfg.steps) as stream:
             h0 = self.encode(graph)
             drift = self.posterior_drift_fn(graph)
-            for increments in paths:
-                h, _ = integrate(h0, drift, None, cfg, increments)
+            for i in range(n_mc):
+                try:
+                    h, _ = integrate(h0, drift, None, cfg, itertools.islice(stream, cfg.steps))
+                except DivergedError as e:
+                    e.sample = i
+                    e.args = (f"MC sample {i}: {e}",)
+                    raise
                 samples.append(ad.softmax_rows(self.decode(h)).data)
         stacked = np.stack(samples)
         mean = stacked.mean(axis=0)

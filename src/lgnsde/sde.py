@@ -6,6 +6,7 @@ function of the final state flow back into the drift parameters.
 """
 
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -16,7 +17,15 @@ from .autodiff import Tensor, tensor_sum
 
 
 class DivergedError(RuntimeError):
-    """Raised when a state or a parameter is non-finite."""
+    """Raised when a state or a parameter is non-finite.
+
+    One raised by ``integrate`` says where: the solver ``step`` j, its
+    start time ``t`` = t0 + j dt, and ``max_abs_h``, the largest |H| of the
+    state entering step j; ``predict`` adds its MC ``sample``. What does not
+    apply is None.
+    """
+
+    step = t = max_abs_h = sample = None
 
 
 @dataclass
@@ -77,23 +86,25 @@ class BrownianPath:
 
 
 @contextmanager
-def drawn_ahead(rngs, shape, dt):
+def drawn_ahead(rngs, shape, dt, buffers=2):
     """Iterate over one `shape` array of N(0, dt) draws per rng in `rngs`,
-    each drawn while the caller works on the one before it.
+    each drawn while the caller works on the ones before it.
 
     One helper thread fills each array with ``standard_normal(out=...)``
     and ``*= sqrt(dt)``, bit-identical to ``standard_normal(shape) *
-    sqrt(dt)``. The first draw starts on entry, and the helper fills array
-    i+1 while the caller uses array i: at most one draw runs ahead. The
-    arrays take turns in two buffers, so array i is overwritten once array
-    i+1 is requested: use each array before asking for the next. The
-    caller's thread takes each rng from `rngs` and allocates the buffers,
-    so no memory is freed into the helper's malloc arena. The helper calls
-    numpy only: it touches no Tensor and calls nothing a tracer may wrap.
-    numpy keeps ``np.errstate`` per thread context, so the helper runs
-    under the caller's settings, copied on entry; an error raised there is
-    raised by the iterator. The thread is joined when the ``with`` block
-    ends, also when it ends in an exception.
+    sqrt(dt)``. The arrays take turns in a ring of `buffers` buffers: the
+    first ``buffers - 1`` draws are queued on entry, and each request for
+    the next array queues one more into the buffer the caller gave back,
+    so at most ``buffers - 1`` draws are queued ahead of the array the
+    caller holds. Array i is overwritten once array i+1 is requested: use
+    each array before asking for the next. The caller's thread takes each
+    rng from `rngs` and allocates the buffers, so no memory is freed into
+    the helper's malloc arena. The helper calls numpy only: it touches no
+    Tensor and calls nothing a tracer may wrap. numpy keeps
+    ``np.errstate`` per thread context, so the helper runs under the
+    caller's settings, copied on entry; an error raised there is raised by
+    the iterator. When the ``with`` block ends, also in an exception, the
+    queued draws are cancelled and the thread is joined.
     """
     scale = np.sqrt(dt)
     err = np.geterr()
@@ -104,24 +115,31 @@ def drawn_ahead(rngs, shape, dt):
             out *= scale
         return out
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
         rngs = iter(rngs)
-        # both buffers in one block: a large one is mapped and unmapped
+        # all buffers in one block: a large one is mapped and unmapped
         # whole, so it leaves no hole in the heap (two blocks, or one per
         # draw, raised the peak RSS of some benchmark runs by 2-8%)
-        buffers = itertools.cycle(np.empty((2, *shape)))
+        ring = itertools.cycle(np.empty((buffers, *shape)))
+        queued = deque()
 
         def submit():
             rng = next(rngs, None)
-            return None if rng is None else helper.submit(fill, rng, next(buffers))
+            if rng is not None:
+                queued.append(helper.submit(fill, rng, next(ring)))
 
-        def draws(pending):
-            while pending is not None:
-                ahead = submit()
-                yield pending.result()
-                pending = ahead
+        def draws():
+            submit()
+            while queued:
+                yield queued.popleft().result()
+                submit()  # into the buffer the caller just gave back
 
-        yield draws(submit())
+        for _ in range(buffers - 1):
+            submit()
+        yield draws()
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 def em_step(h, f, g, dw, dt):
@@ -143,6 +161,15 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
     return h + (k1 + k2) * (dt / 2.0) + noise
 
 
+def _diverged(j, t, h, cause):
+    """The DivergedError of step j, entered at time t with state `h`."""
+    max_abs_h = float(np.max(np.abs(h.data)))
+    e = DivergedError(f"integration diverged at step {j} "
+                      f"(t = {t:g}, max |H| = {max_abs_h:.3g}){cause}")
+    e.step, e.t, e.max_abs_h = j, t, max_abs_h
+    return e
+
+
 def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None):
     """Advance h0 with the posterior drift driven by the Wiener
     `increments`; return (H(t1), KL).
@@ -158,7 +185,9 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     on the same grid as the solver, and stays differentiable w.r.t. the
     posterior drift parameters. With no prior drift (prediction) the KL is
     not computed and is None. A FloatingPointError in step j (raised under
-    ``np.errstate(all="raise")``) is raised as a DivergedError naming j.
+    ``np.errstate(all="raise")``), or a non-finite state after it, is
+    raised as a DivergedError that names j, t and the largest |H| of the
+    state entering step j.
     With an `observe` callable, ``observe(j + 1, H.data)`` is called after
     each step j, so a caller can reduce the states on the grid without
     keeping them (the lemma checks of ``verify`` do).
@@ -182,13 +211,14 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
                 v = (f_post - prior_drift(h, t)) * (1.0 / g)
                 kl = kl + tensor_sum(v * v) * (0.5 * dt)
             if config.scheme == "em":
-                h = em_step(h, f_post, g, dw, dt)
+                h_next = em_step(h, f_post, g, dw, dt)
             else:
-                h = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
+                h_next = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
         except FloatingPointError as e:
-            raise DivergedError(f"integration diverged at step {j}: {e}") from e
-        if not np.all(np.isfinite(h.data)):
-            raise DivergedError(f"integration diverged at step {j}")
+            raise _diverged(j, t, h, f": {e}") from e
+        if not np.all(np.isfinite(h_next.data)):
+            raise _diverged(j, t, h, "")
+        h = h_next
         if observe is not None:
             observe(j + 1, h.data)
     if next(steps, None) is not None:

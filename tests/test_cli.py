@@ -305,8 +305,8 @@ class TestExitCodes:
                               str(tmp_path / "model.npz"))
         assert proc.returncode == 1
         assert proc.stderr.strip().splitlines() == [
-            "diverged: eval: integration diverged at step 0: "
-            "overflow encountered in matmul"], proc.stderr
+            "diverged: eval: MC sample 0: integration diverged at step 0 (t = 0, "
+            "max |H| = 4.74): overflow encountered in matmul"], proc.stderr
 
     @pytest.mark.parametrize("kind, message", [
         ("empty", "No data left in file"), ("truncated", ""), ("text", ""),
@@ -490,8 +490,8 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert err == ["diverged: train: training stopped in epoch 0: integration "
-                       "diverged at step 0: overflow encountered in multiply; "
-                       "the best parameters were kept"]
+                       "diverged at step 0 (t = 0, max |H| = 5.89): overflow "
+                       "encountered in multiply; the best parameters were kept"]
         # the text is kept off runlog.json, whose keys stay as they were
         assert sorted(json.loads((out / "runlog.json").read_text())) == [
             "best_epoch", "best_val_acc", "checkpoint_path", "diverged", "epochs"]
@@ -504,12 +504,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert err == ["diverged: train: training stopped in epoch 0: validation "
-                       "predict: integration diverged at step 0: overflow "
-                       "encountered in matmul; the best parameters were kept"]
+                       "predict: MC sample 0: integration diverged at step 0 (t = 0, "
+                       "max |H| = 9.48e+300): overflow encountered in matmul; the "
+                       "best parameters were kept"]
         assert json.loads((out / "runlog.json").read_text())["epochs"] == []
 
+    # at g = 1e308 the test predict after training diverges too
     @pytest.mark.parametrize("extra", ["lr = inf\n", "lr = 1e300\n",
-                                       "prior_mu = 1e308\n", "g = 1e200\n"])
+                                       "prior_mu = 1e308\n", "g = 1e200\n", "g = 1e308\n"])
     def test_numeric_blow_up_is_one_diverged_line(self, tmp_path, extra):
         path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\n" + extra)
         out = tmp_path / "out"

@@ -241,6 +241,46 @@ class TestPredict:
             m.predict(g, mc_samples=5)
         assert threading.active_count() == before
 
+    def test_divergence_names_its_sample(self):
+        # the drift overflows in the first call of sample 1, step 1 (8 SRK
+        # drift calls a sample); integrate names the step, predict the sample
+        g = make_graph()
+        m = small_model(g)
+        drift_fn = m.posterior_drift_fn
+        calls = []
+
+        def failing(graph, rng=None):
+            drift = drift_fn(graph, rng)
+
+            def overflowing(h, t):
+                calls.append(t)
+                return h * 1e308 * 1e308 if len(calls) == 11 else drift(h, t)
+
+            return overflowing
+
+        m.posterior_drift_fn = failing
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match=r"^MC sample 1: integration diverged at step 1 "
+                                     r"\(t = 0.25, max \|H\| = \S+\): overflow") as e:
+            m.predict(g, mc_samples=3)
+        assert (e.value.sample, e.value.step, e.value.t) == (1, 1, 0.25)
+        assert isinstance(e.value.max_abs_h, float) and np.isfinite(e.value.max_abs_h)
+
+    def test_noise_peak_is_one_path(self):
+        # the ring holds one path of noise; two whole-path buffers (the next
+        # sample's path drawn while one integrates) peaked at 2.16 paths here
+        graph = sbm_generate(3, 100, 0.05, 0.005, 16, 2.0, seed=0)
+        hidden, steps = 32, 64
+        m = LGNSDEModel(graph.d_in, graph.num_classes, hidden=hidden, steps=steps, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m.predict(graph, mc_samples=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * steps * graph.n * hidden * 8
+
 
 class TestCheckpoint:
     def test_round_trip_predictions(self, tmp_path):

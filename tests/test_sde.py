@@ -1,9 +1,12 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
 import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
-from lgnsde.sde import (BrownianPath, DivergedError, SDEConfig,
+from lgnsde.sde import (BrownianPath, DivergedError, SDEConfig, drawn_ahead,
                         em_step, integrate, srk_step)
 
 
@@ -52,6 +55,58 @@ class TestBrownianPath:
         dt = 1.0 / L
         se = dt * np.sqrt(2.0 / samples.size)
         assert abs(samples.var() - dt) < 3 * se
+
+
+class TestDrawnAhead:
+    SEEDS, STEPS, SHAPE, DT = (3, 8, 21), 4, (5, 2), 0.3
+
+    def rngs(self):
+        """One generator per seed, each repeated for its STEPS draws."""
+        gens = [np.random.Generator(np.random.PCG64(s)) for s in self.SEEDS]
+        return gens, itertools.chain.from_iterable(
+            itertools.repeat(g, self.STEPS) for g in gens)
+
+    # 1 and STEPS are predict's ring at steps = 1 and 4; 13 > 12 rngs
+    @pytest.mark.parametrize("buffers", [1, 2, 3, STEPS, 13])
+    def test_stream_equals_sequential_draws(self, buffers):
+        gens, rngs = self.rngs()
+        with drawn_ahead(rngs, self.SHAPE, self.DT, buffers=buffers) as stream:
+            drawn = [dw.copy() for dw in stream]
+        refs = [np.random.Generator(np.random.PCG64(s)) for s in self.SEEDS]
+        want = [r.standard_normal(self.SHAPE) * np.sqrt(self.DT)
+                for r in refs for _ in range(self.STEPS)]
+        assert len(drawn) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
+        assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+    @pytest.mark.parametrize("buffers", [1, 2, 3, STEPS, 13])
+    def test_rngs_are_taken_at_most_buffers_minus_one_ahead(self, buffers):
+        _, rngs = self.rngs()
+        taken = []
+
+        def counted():
+            for rng in rngs:
+                taken.append(threading.current_thread())
+                yield rng
+
+        total = len(self.SEEDS) * self.STEPS
+        with drawn_ahead(counted(), self.SHAPE, self.DT, buffers=buffers) as stream:
+            assert len(taken) == min(buffers - 1, total)
+            for received, _ in enumerate(stream, 1):
+                assert len(taken) == min(received + buffers - 1, total)
+        # the caller's thread takes every rng
+        assert set(taken) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("buffers", [2, STEPS])
+    def test_no_thread_outlives_a_raising_consumer(self, buffers):
+        _, rngs = self.rngs()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with drawn_ahead(rngs, self.SHAPE, self.DT, buffers=buffers) as stream:
+                for received, _ in enumerate(stream, 1):
+                    if received == 2:
+                        raise RuntimeError("consumer failed")
+        assert threading.active_count() == before
 
 
 class TestEMStep:
@@ -246,6 +301,7 @@ class TestIntegrate:
             assert np.array_equal(seen[j], hj.data)
 
     def test_diverged_names_step(self):
+        # the isfinite scan: no errstate, the drift makes inf without a flag
         cfg = SDEConfig(steps=4, g=1.0, scheme="em")
         path = BrownianPath(0, 4, 1, 1)
 
@@ -253,19 +309,28 @@ class TestIntegrate:
             data = h.data if isinstance(h, Tensor) else h
             return Tensor(np.full(data.shape, np.inf))
 
-        with pytest.raises(DivergedError, match="step 0"):
+        with pytest.raises(DivergedError, match=r"^integration diverged at step 0 "
+                                                r"\(t = 0, max \|H\| = 1\)$") as e:
             integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path.increments)
+        assert (e.value.step, e.value.t, e.value.max_abs_h, e.value.sample) == (0, 0.0, 1.0, None)
 
     # SRK evaluates the drift a second time inside step 0, where it overflows
     @pytest.mark.parametrize("scheme, step", [("em", 1), ("srk", 0)])
     def test_floating_point_error_names_the_step(self, scheme, step):
         cfg = SDEConfig(steps=4, g=1.0, scheme=scheme)
         path = BrownianPath(0, 4, 1, 1)
+        h0 = Tensor(np.ones((1, 1)))
+        states = {0: h0.data}
         with np.errstate(all="raise"), pytest.raises(
-                DivergedError, match=f"^integration diverged at step {step}: overflow") as e:
-            integrate(Tensor(np.ones((1, 1))), lambda h, t: h * 1e300, None, cfg,
-                      path.increments)
+                DivergedError, match=rf"^integration diverged at step {step} \(t = "
+                                     rf"{step * cfg.dt:g}, max \|H\| = \S+\): overflow") as e:
+            integrate(h0, lambda h, t: h * 1e300, None, cfg, path.increments,
+                      lambda j, h: states.__setitem__(j, h))
         assert isinstance(e.value.__cause__, FloatingPointError)
+        # where it diverged: the state entering the step, not the one it made
+        assert (e.value.step, e.value.t) == (step, cfg.t0 + step * cfg.dt)
+        assert e.value.max_abs_h == np.abs(states[step]).max()
+        assert f"max |H| = {e.value.max_abs_h:.3g})" in str(e.value)
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_per_step_arrays_equal_the_path_array(self, scheme):

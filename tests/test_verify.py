@@ -292,8 +292,10 @@ class TestLemma1:
         g = make_graph()
         m = small_model(g, hidden=2, scheme=scheme)
         m.posterior_drift_fn = lambda graph, rng=None: late_blowup
+        t = m.sde_config.t0 + step * m.sde_config.dt
         with np.errstate(all="raise"), pytest.raises(
-                DivergedError, match=f"^integration diverged at step {step}: overflow") as e:
+                DivergedError, match=rf"^integration diverged at step {step} "
+                                     rf"\(t = {t:g}, max \|H\| = \S+\): overflow") as e:
             lemma1_check(m, g, seed=0)
         assert isinstance(e.value.__cause__, FloatingPointError)
 
