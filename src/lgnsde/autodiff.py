@@ -78,10 +78,6 @@ class Tensor:
         self._node = _Node() if requires_grad and _grad_enabled else None
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def requires_grad(self):
         return self._node is not None
 
@@ -394,9 +390,6 @@ class SparseMatrix:
     @property
     def nnz(self):
         return int(self._csr.nnz)
-
-    def to_dense(self):
-        return np.asarray(self._csr.todense())
 
     def matmul(self, h):
         """A @ h for a Tensor h; see ``spmm``."""

@@ -5,11 +5,11 @@ report is a pure function of (config, inputs, master seed) at a fixed BLAS
 thread count and kernel, so repeated runs with the same BLAS setting emit
 byte-identical files (another thread count may round a dense product
 differently: model.npz has differed by 2.3e-16). Exit codes: 0 success,
-1 validation failure (a lemma bound violated, divergence), 2 usage or
-config error; `main` maps every error to one of them with a one-line
-message. A command makes its output directory only once its config, data
-and checkpoint have loaded and passed their checks, so a config error
-leaves none behind.
+1 validation failure (a failed check of verify or gradcheck, divergence),
+2 usage or config error. A command fails only by raising, and `main` alone
+maps each error to its code and one stderr line. A command makes its
+output directory only once its config, data and checkpoint have loaded
+and passed their checks, so a config error leaves none behind.
 """
 
 import argparse
@@ -31,8 +31,8 @@ from .verify import (elbo_gradient_check, lemma1_check, lemma2_check,
                      resnet_equivalence, write_report)
 
 
-class ConfigError(Exception):
-    pass
+class GateFailed(Exception):
+    """A check of verify or gradcheck failed; raised once every report is written."""
 
 
 @dataclass
@@ -86,10 +86,10 @@ def parse_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in by_name:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field = by_name[key]
             if val.lower() == "none" and field.default is None:
                 parsed = None
@@ -97,7 +97,7 @@ def parse_config(path):
                 try:
                     parsed = field.type(val)
                 except ValueError as e:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
+                    raise ValueError(f"{path}:{lineno}: bad value for {key}: {e}") from None
             setattr(cfg, key, parsed)
     return cfg
 
@@ -110,13 +110,13 @@ def load_dataset(cfg):
                             cfg.sbm_feature_gap, seed=cfg.seed)
     if cfg.dataset == "bundle":
         if not cfg.bundle_path:
-            raise ConfigError("dataset=bundle needs bundle_path")
+            raise ValueError("dataset=bundle needs bundle_path")
         return load_bundle(cfg.bundle_path)
     if cfg.dataset == "cora_raw":
         if not (cfg.cora_content and cfg.cora_cites):
-            raise ConfigError("dataset=cora_raw needs cora_content and cora_cites")
+            raise ValueError("dataset=cora_raw needs cora_content and cora_cites")
         return load_cora_raw(cfg.cora_content, cfg.cora_cites)
-    raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+    raise ValueError(f"unknown dataset {cfg.dataset!r}")
 
 
 def split_dataset(cfg, graph, ood_class=None):
@@ -164,7 +164,7 @@ def run_training(cfg, model, graph, out, name):
                "the best parameters were kept")
     try:
         yield log
-    except (DivergedError, FloatingPointError) as e:
+    except FloatingPointError as e:
         raise DivergedError(f"{stopped}; test predict: {e}") from e
     raise DivergedError(stopped)
 
@@ -180,7 +180,6 @@ def cmd_generate(cfg, out):
     dest = os.path.join(out, "bundle")
     save_bundle(graph, dest)
     print(f"wrote bundle with {graph.n} nodes, {len(graph.edges)} edges to {dest}")
-    return 0
 
 
 def cmd_train(cfg, out):
@@ -196,26 +195,24 @@ def cmd_train(cfg, out):
                               ent[correct], ent[~correct],
                               label_a="correct", label_b="incorrect")
         print(report.to_json())
-    return 0
 
 
 def cmd_eval(cfg, out, checkpoint):
     model = LGNSDEModel.load(checkpoint)
     graph = split_dataset(cfg, load_dataset(cfg))
     if (model.d_in, model.num_classes) != (graph.d_in, graph.num_classes):
-        raise ConfigError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
-                          f"{model.num_classes} classes, the dataset has "
-                          f"{graph.d_in} and {graph.num_classes}")
+        raise ValueError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
+                         f"{model.num_classes} classes, the dataset has "
+                         f"{graph.d_in} and {graph.num_classes}")
     os.makedirs(out, exist_ok=True)
     report, probs = test_report(model, graph, master_seed=cfg.seed)
     report.to_json(os.path.join(out, "eval.json"))
     print(report.to_json())
-    return 0
 
 
 def cmd_ood(cfg, out):
     if cfg.ood_class is None:
-        raise ConfigError("ood requires ood_class in the config")
+        raise ValueError("ood requires ood_class in the config")
     graph = split_dataset(cfg, load_dataset(cfg), cfg.ood_class)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
@@ -233,7 +230,28 @@ def cmd_ood(cfg, out):
                               ent[~is_ood[test]], ent[is_ood[test]],
                               label_a="in", label_b="ood")
         print(report.to_json())
-    return 0
+
+
+def _raise_first_failure(l1, l1z, l2, resnet_dev):
+    """Raise GateFailed naming the first failing gate of verify with its numbers."""
+    for gate, report in (("lemma1_pass", l1), ("lemma1_zero_drift_pass", l1z)):
+        for r in report["grid"]:
+            at = f"{gate}: t = {r['t']:g}"
+            if not r["output_pass"]:
+                raise GateFailed(f"{at}: var_y {r['var_y']:.6g} > "
+                                 f"L_h^2 var_h {r['output_bound']:.6g}")
+            if report["zero_drift"] and not r["diffusion_pass"]:
+                raise GateFailed(f"{at}: var_h {r['var_h']:.6g} outside "
+                                 f"[{r['diffusion_low']:.6g}, {r['diffusion_high']:.6g}]")
+    if not l2["certificate_pass"]:
+        raise GateFailed(f"lemma2_pass: certificate: realized L_f {l2['L_f_realized']:.6g} "
+                         f"> certified {l2['L_f']:.6g}")
+    for r in l2["grid"]:
+        if not r["pass"]:
+            raise GateFailed(f"lemma2_pass: t = {r['t']:g}: measured gap {r['measured']:.6g} "
+                             f"> realized bound {r['realized_bound']:.6g}")
+    if not resnet_dev < 1e-12:
+        raise GateFailed(f"resnet_pass: max abs deviation {resnet_dev:.3g}, bound 1e-12")
 
 
 def cmd_verify(cfg, out):
@@ -257,9 +275,7 @@ def cmd_verify(cfg, out):
                "lipschitz": {"L_f": l2["L_f"], "L_h": l1["L_h"]}}
     _write_json(os.path.join(out, "verify_summary.json"), summary)
     print(json.dumps(summary, sort_keys=True, indent=2))
-    ok = all(summary[k] for k in
-             ("lemma1_pass", "lemma1_zero_drift_pass", "lemma2_pass", "resnet_pass"))
-    return 0 if ok else 1
+    _raise_first_failure(l1, l1z, l2, resnet_dev)
 
 
 def cmd_gradcheck(cfg, out):
@@ -275,7 +291,9 @@ def cmd_gradcheck(cfg, out):
     _write_json(os.path.join(out, "gradcheck.json"), table)
     for name, err in table.items():
         print(f"{name:8s} max rel err {err:.3e}")
-    return 0 if table["max"] < 1e-4 else 1
+    if not table["max"] < 1e-4:
+        worst = max((k for k in table if k != "max"), key=table.get)
+        raise GateFailed(f"max rel err {table[worst]:.3e} at {worst}, bound 1e-4")
 
 
 COMMANDS = {"generate": cmd_generate, "train": cmd_train, "eval": cmd_eval,
@@ -314,15 +332,18 @@ def main(argv=None):
                 cfg.seed = args.seed
             out = args.out or cfg.out_dir
             if args.command == "eval":
-                return cmd_eval(cfg, out, args.checkpoint)
-            return COMMANDS[args.command](cfg, out)
-    except (ConfigError, ValueError, OSError, MemoryError) as e:
+                cmd_eval(cfg, out, args.checkpoint)
+            else:
+                COMMANDS[args.command](cfg, out)
+    except (ValueError, OSError, MemoryError) as e:
         # MemoryError: a count too large to allocate, such as mc_samples
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DivergedError, FloatingPointError) as e:
-        print(f"diverged: {args.command}: {e}", file=sys.stderr)
+    except (FloatingPointError, GateFailed) as e:  # DivergedError is a FloatingPointError
+        kind = "failed" if isinstance(e, GateFailed) else "diverged"
+        print(f"{kind}: {args.command}: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -257,6 +257,9 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
         raise ValueError(f"classes must be >= 2, got {classes}")
     if nodes_per_class < 1:
         raise ValueError("nodes_per_class must be >= 1")
+    n = classes * nodes_per_class
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"classes * nodes_per_class = {n} is past the largest array index")
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if not (0.0 <= p_out <= p_in <= 1.0):
@@ -264,7 +267,6 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
     if feature_gap < 0:
         raise ValueError("feature_gap must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = classes * nodes_per_class
     labels = np.repeat(np.arange(classes), nodes_per_class)
     means = np.zeros((classes, feature_dim))
     for c in range(classes):

@@ -16,8 +16,9 @@ import numpy as np
 from .autodiff import Tensor, tensor_sum
 
 
-class DivergedError(RuntimeError):
-    """Raised when a state or a parameter is non-finite.
+class DivergedError(FloatingPointError):
+    """Raised when a state or a parameter is non-finite; a FloatingPointError,
+    so one ``except`` catches it and a numpy overflow alike.
 
     One raised by ``integrate`` says where: the solver ``step`` j, its
     start time ``t`` = t0 + j dt, and ``max_abs_h``, the largest |H| of the
@@ -44,6 +45,8 @@ class SDEConfig:
             raise ValueError("t1 must exceed t0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps > 2 ** 53:  # beyond it a float64 no longer holds every step index
+            raise ValueError(f"steps must be <= 2**53, got {self.steps}")
         if self.g <= 0:
             raise ValueError("diffusion constant g must be > 0")
         if self.scheme not in ("em", "srk"):
@@ -78,11 +81,6 @@ class BrownianPath:
             dw = rng.standard_normal(self.shape)
             dw *= self.scale
             yield dw
-
-    @property
-    def increments(self):
-        """The whole path as one (steps, n, d) array, drawn anew."""
-        return np.stack(list(self))
 
 
 @contextmanager

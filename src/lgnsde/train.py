@@ -84,7 +84,7 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
                 opt.step()
                 phase = "validation predict: "
                 val_acc, val_nll = _val_metrics(model, graph, val_mc, val_seed)
-        except (DivergedError, FloatingPointError) as e:
+        except FloatingPointError as e:  # a DivergedError too
             log.diverged = True
             log.divergence = phase + str(e)
             break

@@ -170,10 +170,10 @@ def test_criterion_06_kl_closed_form():
     def const(value):
         return lambda h, t: Tensor(np.full((n, d), value))
 
-    kl = float(integrate(h0, const(delta), const(0.0), cfg, path.increments)[1].data)
+    kl = float(integrate(h0, const(delta), const(0.0), cfg, path)[1].data)
     expect = 0.5 * n * d * (delta / gval) ** 2
     rel = abs(kl - expect) / expect
-    kl_same = float(integrate(h0, const(delta), const(delta), cfg, path.increments)[1].data)
+    kl_same = float(integrate(h0, const(delta), const(delta), cfg, path)[1].data)
     report(6, "pathwise KL closed form", rel < 1e-3 and kl_same == 0.0,
            f"rel err {rel:.2e}, identical-drift KL {kl_same}")
 

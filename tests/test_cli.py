@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lgnsde import cli
-from lgnsde.cli import ConfigError, main, parse_config
+from lgnsde import cli, verify
+from lgnsde.cli import main, parse_config
 from lgnsde.graphdata import SplitSpec, make_splits, save_bundle, sbm_generate
 from lgnsde.model import LGNSDEModel
 from lgnsde.train import train_model
@@ -105,17 +105,17 @@ class TestParseConfig:
 
     def test_unknown_key_names_line(self, tmp_path):
         path = write_cfg(tmp_path, text="hidden = 4\nbogus_key = 1\n")
-        with pytest.raises(ConfigError, match=":2:"):
+        with pytest.raises(ValueError, match=":2:"):
             parse_config(path)
 
     def test_bad_value_type(self, tmp_path):
         path = write_cfg(tmp_path, text="hidden = not_an_int\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config(path)
 
     def test_missing_equals(self, tmp_path):
         path = write_cfg(tmp_path, text="hidden 4\n")
-        with pytest.raises(ConfigError, match=":1:"):
+        with pytest.raises(ValueError, match=":1:"):
             parse_config(path)
 
     def test_optional_none_fields(self, tmp_path):
@@ -192,6 +192,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, extra, message", [
         ("train", "steps = 0\n", "steps must be >= 1"),
+        # verify once ended in a traceback from its grid, and in a "diverged:" line
+        ("verify", "steps = 100000000000000000000000\n",
+         "steps must be <= 2**53, got 100000000000000000000000"),
+        ("verify", "steps = 9223372036854775807\n",
+         "steps must be <= 2**53, got 9223372036854775807"),
         ("train", "hidden = -3\n", "hidden must be >= 1"),
         ("ood", "ood_class = 9\n", "ood_class 9 outside"),
         ("eval", "", "unreadable checkpoint"),
@@ -205,6 +210,8 @@ class TestExitCodes:
         ("train", "g = inf\n", "must be finite"),
         ("train", "patience = -1\n", "patience must be >= 0"),
         ("train", "sbm_classes = 1\n", "classes must be >= 2"),
+        ("train", "sbm_nodes_per_class = 100000000000000000000000\n",
+         "classes * nodes_per_class = 300000000000000000000000 is past the largest array index"),
         # `none` only for keys whose default is None; TINY ends on line 18
         ("train", "hidden = none\n", "run.cfg:19: bad value for hidden"),
         ("train", "steps = none\n", "run.cfg:19: bad value for steps"),
@@ -726,6 +733,60 @@ class TestVerifyAndGradcheck:
         assert code == 0
         table = json.loads((out / "gradcheck.json").read_text())
         assert table["max"] < 1e-4
+
+    def test_gradcheck_failure_is_one_line(self, tmp_path, capsys):
+        # the noise swamps the state, so the differences cannot resolve the
+        # gradient; the check once exited 1 with nothing on stderr
+        code, out = run(tmp_path, "gradcheck", "--config", write_cfg(tmp_path, extra="g = 1e300\n"))
+        captured = capsys.readouterr()
+        table = json.loads((out / "gradcheck.json").read_text())
+        assert code == 1
+        assert table["W_enc"] == table["max"] == 1.0
+        assert captured.err == "failed: gradcheck: max rel err 1.000e+00 at W_enc, bound 1e-4\n"
+        assert "W_enc    max rel err 1.000e+00" in captured.out
+
+    def test_verify_failure_is_one_line_after_every_report(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a certificate below the realized constant fails the lemma 2 gate only
+        monkeypatch.setattr(verify, "estimate_lipschitz", lambda model: 1e-3)
+        code, out = run(tmp_path, "verify", "--config", write_cfg(tmp_path))
+        err = capsys.readouterr().err
+        summary = json.loads((out / "verify_summary.json").read_text())
+        realized = json.loads((out / "lemma2.json").read_text())["L_f_realized"]
+        assert code == 1
+        assert err == (f"failed: verify: lemma2_pass: certificate: realized L_f "
+                       f"{realized:.6g} > certified 0.001\n")
+        assert [k for k in summary if k.endswith("_pass") and not summary[k]] == ["lemma2_pass"]
+        assert len(list(out.iterdir())) == 7
+
+    @pytest.mark.parametrize("report, flag, message", [
+        (0, "output_pass", "lemma1_pass: t = 1: var_y 2 > L_h^2 var_h 1.5"),
+        (1, "output_pass", "lemma1_zero_drift_pass: t = 1: var_y 2 > L_h^2 var_h 1.5"),
+        (1, "diffusion_pass", "lemma1_zero_drift_pass: t = 1: var_h 1 outside [3, 4]"),
+        (2, "certificate_pass", "lemma2_pass: certificate: realized L_f 0.3 > certified 0.2"),
+        (2, "pass", "lemma2_pass: t = 1: measured gap 0.02 > realized bound 0.01"),
+        (None, None, "resnet_pass: max abs deviation 1e-10, bound 1e-12")])
+    def test_verify_failure_names_the_gate_and_its_numbers(self, report, flag, message):
+        # every gate passes but one check in the second grid row, or the
+        # certificate, or the ResNet deviation; the trained drift's
+        # diffusion rows fail, which gates nothing
+        lemma1_rows = [{"t": t, "var_h": 1.0, "var_y": 2.0, "output_bound": 1.5,
+                        "output_pass": True, "diffusion_low": 3.0, "diffusion_high": 4.0,
+                        "diffusion_pass": False} for t in (0.5, 1.0)]
+        reports = [{"zero_drift": False, "grid": lemma1_rows},
+                   {"zero_drift": True,
+                    "grid": [dict(r, diffusion_pass=True) for r in lemma1_rows]},
+                   {"L_f_realized": 0.3, "L_f": 0.2, "certificate_pass": True,
+                    "grid": [{"t": t, "measured": 0.02, "realized_bound": 0.01,
+                              "pass": True} for t in (0.5, 1.0)]}]
+        cli._raise_first_failure(*reports, 0.0)  # all pass: nothing raised
+        if flag == "certificate_pass":
+            reports[report][flag] = False
+        elif flag is not None:
+            reports[report]["grid"][1][flag] = False
+        with pytest.raises(cli.GateFailed) as failed:
+            cli._raise_first_failure(*reports, 0.0 if flag else 1e-10)
+        assert str(failed.value) == message
 
 
 class TestDeterminism:

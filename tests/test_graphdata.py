@@ -14,11 +14,11 @@ from lgnsde.graphdata import (SplitSpec, build_graph, load_bundle,
 
 class TestNormalizedAdjacency:
     def test_single_node_self_loop_only(self):
-        assert np.array_equal(normalized_adjacency([], 1).to_dense(), [[1.0]])
+        assert np.array_equal(normalized_adjacency([], 1)._csr.toarray(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         # degrees with self-loops are both 2, so every entry is 1/2
-        dense = normalized_adjacency([(0, 1)], 2).to_dense()
+        dense = normalized_adjacency([(0, 1)], 2)._csr.toarray()
         assert np.abs(dense - 0.5).max() < 1e-15
 
     def test_out_of_range_endpoint(self):
@@ -28,14 +28,14 @@ class TestNormalizedAdjacency:
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_and_spectrum(self, seed):
         g = sbm_generate(3, 10, 0.3, 0.05, 4, 1.0, seed=seed)
-        dense = g.norm_adj.to_dense()
+        dense = g.norm_adj._csr.toarray()
         assert np.array_equal(dense, dense.T)
         eig = np.linalg.eigvalsh(dense)
         assert eig.min() >= -1 - 1e-12 and eig.max() <= 1 + 1e-12
 
     def test_positive_diagonal_and_row_sums(self):
         g = sbm_generate(2, 8, 0.4, 0.1, 3, 1.0, seed=3)
-        dense = g.norm_adj.to_dense()
+        dense = g.norm_adj._csr.toarray()
         assert (np.diag(dense) > 0).all()
         sums = dense.sum(axis=1)
         assert (sums > 0).all() and (sums <= np.sqrt(g.n) + 1e-12).all()
@@ -71,7 +71,7 @@ class TestBundle:
         (d / "nodes.tsv").write_text("0\t0\t1.0\n1\t1\t2.0\n")
         (d / "edges.tsv").write_text("")
         g = load_bundle(d)
-        assert np.array_equal(g.norm_adj.to_dense(), np.eye(2))
+        assert np.array_equal(g.norm_adj._csr.toarray(), np.eye(2))
 
     def test_malformed_line_reports_number(self, tmp_path):
         d = tmp_path / "b"

@@ -74,7 +74,7 @@ class TestPosteriorDrift:
         out = f(Tensor(np.ones((g.n, m.hidden))), 0.5).data
         # A_hat tanh(0.3) has row sums <= 1 but b2 passes straight through
         assert np.allclose(out[:, 0], out[:, 1])
-        expect = g.norm_adj.to_dense() @ (np.tanh(0.3) * np.ones((g.n, m.hidden))) \
+        expect = g.norm_adj._csr.toarray() @ (np.tanh(0.3) * np.ones((g.n, m.hidden))) \
             @ m.W2.data + m.b2.data
         assert np.abs(out - expect).max() < 1e-14
 
@@ -210,7 +210,7 @@ class TestPredict:
             h0, drift = m.encode(g), m.posterior_drift_fn(g)
             for s in seeds:
                 path = BrownianPath(s, cfg.steps, g.n, m.hidden, cfg.t0, cfg.t1)
-                h, _ = integrate(h0, drift, None, cfg, path.increments)
+                h, _ = integrate(h0, drift, None, cfg, path)
                 ref.append(ad.softmax_rows(m.decode(h)).data)
         ref = np.stack(ref)
         mean, samples = m.predict(g, mc_samples=5, master_seed=11, return_samples=True)
@@ -455,7 +455,7 @@ class TestTapeMemory:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                noise = path.increments if whole_path else path
+                noise = np.stack(list(path)) if whole_path else path
                 backward(model.training_loss(graph, noise, rng=rng))
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:

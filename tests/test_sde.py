@@ -19,7 +19,7 @@ class TestBrownianPath:
     def test_deterministic(self):
         a = BrownianPath(5, 4, 3, 2)
         b = BrownianPath(5, 4, 3, 2)
-        for x, y in zip(a.increments, b.increments):
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("seed, steps, n, d, t1", [(0, 1, 1, 1, 1.0),
@@ -30,7 +30,7 @@ class TestBrownianPath:
         rng = np.random.Generator(np.random.PCG64(seed))
         per_step = [rng.standard_normal((n, d)) * np.sqrt(t1 / steps)
                     for _ in range(steps)]
-        assert np.array_equal(BrownianPath(seed, steps, n, d, 0.0, t1).increments,
+        assert np.array_equal(np.stack(list(BrownianPath(seed, steps, n, d, 0.0, t1))),
                               np.stack(per_step))
 
     @pytest.mark.parametrize("seed, steps, n, d", [(0, 1, 1, 1), (7, 16, 9, 8),
@@ -50,7 +50,7 @@ class TestBrownianPath:
         # pooled per-entry variance over many paths approaches dt
         L, n, d = 4, 5, 3
         samples = np.concatenate([np.concatenate(
-            [w.reshape(-1) for w in BrownianPath(s, L, n, d).increments])
+            [w.reshape(-1) for w in BrownianPath(s, L, n, d)])
             for s in range(200)])
         dt = 1.0 / L
         se = dt * np.sqrt(2.0 / samples.size)
@@ -122,9 +122,9 @@ class TestEMStep:
     def test_telescoping_with_zero_drift(self):
         path = BrownianPath(3, 10, 4, 2)
         h = np.zeros((4, 2))
-        for dw in path.increments:
+        for dw in path:
             h = em_step(h, np.zeros((4, 2)), 0.7, dw, 0.1)
-        assert np.abs(h - 0.7 * sum(path.increments)).max() < 1e-14
+        assert np.abs(h - 0.7 * sum(path)).max() < 1e-14
 
 
 class TestSRKStep:
@@ -197,14 +197,14 @@ class TestIntegrate:
     def test_identical_drifts_zero_kl(self):
         cfg, path, h0 = self._setup()
         drift = const_drift(0.3)
-        _, kl = integrate(h0, drift, drift, cfg, path.increments)
+        _, kl = integrate(h0, drift, drift, cfg, path)
         assert float(kl.data) == 0.0
 
     def test_constant_offset_closed_form(self):
         # kl = 0.5 * n * d * (delta/g)^2 * (t1-t0), exact for constant drifts
         delta, g = 0.7, 1.3
         cfg, path, h0 = self._setup(g=g, steps=64)
-        _, kl = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path.increments)
+        _, kl = integrate(h0, const_drift(delta), const_drift(0.0), cfg, path)
         expect = 0.5 * 3 * 2 * (delta / g) ** 2
         assert float(kl.data) == pytest.approx(expect, rel=1e-12)
 
@@ -212,21 +212,21 @@ class TestIntegrate:
         kls = []
         for g in (0.5, 1.0, 2.0, 4.0):
             cfg, path, h0 = self._setup(g=g)
-            _, kl = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path.increments)
+            _, kl = integrate(h0, const_drift(1.0), const_drift(0.0), cfg, path)
             kls.append(float(kl.data))
         assert all(a > b for a, b in zip(kls, kls[1:]))
 
     def test_initial_state_preserved(self):
         cfg, path, h0 = self._setup()
         before = h0.data.copy()
-        h1, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path.increments)
+        h1, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
         assert np.array_equal(h0.data, before)
         assert h1.data.shape == h0.data.shape
 
     def test_without_prior_the_kl_is_skipped(self):
         cfg, path, h0 = self._setup()
-        h_kl, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path.increments)
-        h, kl = integrate(h0, const_drift(0.1), None, cfg, path.increments)
+        h_kl, _ = integrate(h0, const_drift(0.1), const_drift(0.0), cfg, path)
+        h, kl = integrate(h0, const_drift(0.1), None, cfg, path)
         assert kl is None
         assert np.array_equal(h.data, h_kl.data)
 
@@ -235,8 +235,8 @@ class TestIntegrate:
         cfg = SDEConfig(steps=16, g=1e-12, scheme="em")
         path = BrownianPath(4, 16, 2, 2)
         drift = lambda h, t: h * (-0.5) if isinstance(h, Tensor) else -0.5 * h
-        a, _ = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path.increments)
-        b, _ = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path.increments)
+        a, _ = integrate(Tensor(np.ones((2, 2))), drift, drift, cfg, path)
+        b, _ = integrate(Tensor(np.ones((2, 2)) + 0.1), drift, drift, cfg, path)
         gap = b.data - a.data
         expect = 0.1 * (1 - 0.5 / 16) ** 16
         assert np.abs(gap - expect).max() < 1e-12
@@ -250,7 +250,7 @@ class TestIntegrate:
             cfg = SDEConfig(steps=L, g=1e-9, scheme="em")
             path = BrownianPath(0, L, 3, 2)
             h0 = Tensor(np.linspace(-1, 1, 6).reshape(3, 2))
-            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path.increments)[1].data)
+            kls[L] = float(integrate(h0, drift_a, drift_b, cfg, path)[1].data)
         gaps = [abs(kls[8] - kls[16]), abs(kls[16] - kls[32]),
                 abs(kls[32] - kls[64])]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -267,7 +267,7 @@ class TestIntegrate:
                 return ad.tanh(ad.matmul(h, w))
             return np.tanh(h @ w.data)
 
-        _, kl = integrate(h0, drift, const_drift(0.0), cfg, path.increments)
+        _, kl = integrate(h0, drift, const_drift(0.0), cfg, path)
         backward(kl)
         eps = 1e-6
         fd = np.zeros_like(w.data)
@@ -278,7 +278,7 @@ class TestIntegrate:
                 w.data[idx] = orig + delta
                 with ad.no_grad():
                     vals.append(float(integrate(
-                        h0, drift, const_drift(0.0), cfg, path.increments)[1].data))
+                        h0, drift, const_drift(0.0), cfg, path)[1].data))
             w.data[idx] = orig
             fd[idx] = (vals[0] - vals[1]) / (2 * eps)
         denom = np.maximum(np.abs(fd), 1e-4)
@@ -290,14 +290,14 @@ class TestIntegrate:
         cfg, path, h0 = self._setup(steps=8, scheme=scheme)
         drift = lambda h, t: ad.tanh(h) * (0.5 - t)
         seen = {}
-        h1, _ = integrate(h0, drift, None, cfg, path.increments,
+        h1, _ = integrate(h0, drift, None, cfg, path,
                           lambda j, h: seen.__setitem__(j, h.copy()))
         assert sorted(seen) == list(range(1, 9))
         assert np.array_equal(seen[8], h1.data)
         for j in range(1, 8):
             short = SDEConfig(t1=j * cfg.dt, steps=j, scheme=scheme)
             assert short.dt == cfg.dt
-            hj, _ = integrate(h0, drift, None, short, path.increments[:j])
+            hj, _ = integrate(h0, drift, None, short, np.stack(list(path))[:j])
             assert np.array_equal(seen[j], hj.data)
 
     def test_diverged_names_step(self):
@@ -311,7 +311,7 @@ class TestIntegrate:
 
         with pytest.raises(DivergedError, match=r"^integration diverged at step 0 "
                                                 r"\(t = 0, max \|H\| = 1\)$") as e:
-            integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path.increments)
+            integrate(Tensor(np.ones((1, 1))), blowup, const_drift(0.0), cfg, path)
         assert (e.value.step, e.value.t, e.value.max_abs_h, e.value.sample) == (0, 0.0, 1.0, None)
 
     # SRK evaluates the drift a second time inside step 0, where it overflows
@@ -324,7 +324,7 @@ class TestIntegrate:
         with np.errstate(all="raise"), pytest.raises(
                 DivergedError, match=rf"^integration diverged at step {step} \(t = "
                                      rf"{step * cfg.dt:g}, max \|H\| = \S+\): overflow") as e:
-            integrate(h0, lambda h, t: h * 1e300, None, cfg, path.increments,
+            integrate(h0, lambda h, t: h * 1e300, None, cfg, path,
                       lambda j, h: states.__setitem__(j, h))
         assert isinstance(e.value.__cause__, FloatingPointError)
         # where it diverged: the state entering the step, not the one it made
@@ -338,7 +338,7 @@ class TestIntegrate:
         cfg, path, h0 = self._setup(steps=6, scheme=scheme)
         drift = lambda h, t: ad.tanh(h) * (0.5 - t)
         runs = []
-        for increments in (path.increments, (dw.copy() for dw in path.increments)):
+        for increments in (np.stack(list(path)), (dw.copy() for dw in path)):
             seen = {}
             h1, kl = integrate(h0, drift, const_drift(0.2), cfg, increments,
                                lambda j, h: seen.__setitem__(j, h.copy()))
@@ -355,13 +355,13 @@ class TestIntegrate:
         (5, "increments hold more than 4 steps, the config wants 4")])
     def test_stream_of_the_wrong_length(self, steps, message):
         cfg = SDEConfig(steps=4)
-        stream = iter(BrownianPath(0, steps, 2, 3).increments)
+        stream = iter(BrownianPath(0, steps, 2, 3))
         with pytest.raises(ValueError, match=f"^{message}$"):
             integrate(Tensor(np.ones((2, 3))), const_drift(0.0), None, cfg, stream)
 
     def test_step_of_the_wrong_shape(self):
         cfg = SDEConfig(steps=4)
-        steps = list(BrownianPath(0, 4, 2, 3).increments)
+        steps = list(BrownianPath(0, 4, 2, 3))
         steps[2] = np.zeros((3, 2))
         with pytest.raises(ValueError, match=r"^increment 2 has shape \(3, 2\), "
                                              r"the state has \(2, 3\)$"):
@@ -372,7 +372,7 @@ class TestIntegrate:
         path = BrownianPath(0, 8, 1, 1)
         with pytest.raises(ValueError, match="steps"):
             integrate(Tensor(np.ones((1, 1))), const_drift(0.0),
-                      const_drift(0.0), cfg, path.increments)
+                      const_drift(0.0), cfg, path)
 
 
 class TestSDEConfig:

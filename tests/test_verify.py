@@ -272,7 +272,7 @@ class TestLemma1:
 
         def one_shot(h0, drift, prior, cfg, increments, observe):
             path = BrownianPath(seed, cfg.steps, g.n * mc, m.hidden, cfg.t0, cfg.t1)
-            return integrate(h0, drift, prior, cfg, path.increments, observe)
+            return integrate(h0, drift, prior, cfg, np.stack(list(path)), observe)
 
         monkeypatch.setattr(verify, "integrate", one_shot)
         reference = lemma1_check(m, g, mc=mc, seed=seed, zero_drift=zero_drift)
