@@ -2,9 +2,13 @@
 
 Everything is float64. The tape is define-by-run: each op that has an
 input needing a gradient gives its output a tape node, and
-``backward(loss)`` replays the nodes in reverse topological order. Tensors
-and the graphs they form are meant to be confined to a single thread;
-parameter values may be shared read-only.
+``backward(loss)`` replays the nodes in reverse creation order: every node
+carries a sequence number, and a node that feeds several ops receives
+their gradients newest first, so a node with consumers c1, c2, c3 (made in
+that order) holds (g3 + g2) + g1. The switch that ``no_grad`` flips is a
+``contextvars.ContextVar``, so a ``no_grad`` block in one thread leaves
+the tape on in every other. Tensors and the graphs they form are meant to
+be confined to a single thread; parameter values may be shared read-only.
 
 A Tensor holds its data and its node; the node holds the gradient, the
 backward closure and the nodes of the op's inputs, never a Tensor. Each
@@ -18,29 +22,34 @@ right after using them, so the tape shrinks as the pass runs and a second
 gradients. The first gradient a node receives is kept without a copy: no
 op writes a gradient in place.
 
-``checkpoint(fn, inputs, rng)`` trades memory for time: it records one
-node that keeps only the inputs' arrays, and backward re-runs `fn` on a
-nested tape, with `rng` put back where it stood at the call so dropout
-draws the same mask. The nested pass runs through the private
-``_backward``, so ``backward`` is called once per loss.
+``checkpoint(fn, inputs, rng)`` trades memory for time: it records a node
+that keeps only the inputs' arrays, and backward re-runs `fn` on a nested
+tape, with `rng` put back where it stood at the call so dropout draws the
+same mask. `fn` may return a tuple of Tensors: each output gets its own
+node, and one recompute serves them all. The nested tape keeps the
+forward's creation order, so when each input feeds one op in `fn` the
+gradients are bitwise those of calling `fn` on the tape. The nested pass
+runs through the private ``_backward``, so ``backward`` is called once per
+loss.
 """
 
 import contextlib
+import contextvars
+import itertools
 
 import numpy as np
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("lgnsde_grad_enabled", default=True)
+_sequence = itertools.count()
 
 
 @contextlib.contextmanager
 def _recording(enabled):
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = enabled
+    token = _grad_enabled.set(enabled)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def no_grad():
@@ -54,15 +63,17 @@ def _released(g):
 
 class _Node:
     """A tape entry: the gradient so far, the backward closure (None for a
-    leaf) and the input nodes (None for an input that needs no gradient).
-    The closure maps the output gradient to one gradient per input."""
+    leaf), the input nodes (None for an input that needs no gradient) and
+    its place in creation order. The closure maps the output gradient to
+    one gradient per input, None for an input that gets none."""
 
-    __slots__ = ("grad", "backward", "parents")
+    __slots__ = ("grad", "backward", "parents", "seq")
 
     def __init__(self, backward=None, parents=()):
         self.grad = None
         self.backward = backward
         self.parents = parents
+        self.seq = next(_sequence)
 
     def accumulate(self, g):
         self.grad = g if self.grad is None else self.grad + g
@@ -75,7 +86,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self._node = _Node() if requires_grad and _grad_enabled else None
+        self._node = _Node() if requires_grad and _grad_enabled.get() else None
 
     @property
     def requires_grad(self):
@@ -115,7 +126,7 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     """Wrap an op result; record a node only when an input needs a gradient."""
     out = Tensor(data)
-    if _grad_enabled:
+    if _grad_enabled.get():
         nodes = tuple(p._node for p in parents)
         if any(n is not None for n in nodes):
             out._node = _Node(backward_fn, nodes)
@@ -291,58 +302,64 @@ def backward(loss):
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if loss._node is not None:
-        _backward(loss._node, np.ones_like(loss.data))
+        _backward([(loss._node, np.ones_like(loss.data))])
 
 
-def _backward(root, grad):
-    """The reverse pass of ``backward``, seeded with `grad` at `root`;
-    ``checkpoint`` runs its nested passes through it too."""
-    topo = []
-    seen = set()
-    stack = [(root, False)]
+def _backward(seeds):
+    """The reverse pass of ``backward``, seeded with each (node, gradient)
+    pair of `seeds`; ``checkpoint`` runs its nested passes through it too.
+    The nodes run newest first, so every gradient is summed over its
+    consumers in reverse creation order."""
+    nodes = set()
+    stack = [node for node, _ in seeds]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p is not None and id(p) not in seen:
-                stack.append((p, False))
-    root.accumulate(grad)
-    for node in reversed(topo):
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(p for p in node.parents if p is not None)
+    for node, g in seeds:
+        node.accumulate(g)
+    for node in sorted(nodes, key=lambda n: n.seq, reverse=True):
         if node.backward is None:
             continue
         for p, g in zip(node.parents, node.backward(node.grad)):
-            if p is not None:
+            if p is not None and g is not None:
                 p.accumulate(g)
         node.grad, node.backward, node.parents = None, _released, ()
 
 
 def checkpoint(fn, inputs, rng=None):
-    """``fn(*inputs)`` on one tape node that keeps only the inputs' arrays.
+    """``fn(*inputs)`` on the tape through nodes that keep only the inputs'
+    arrays.
 
-    The forward runs `fn` with the tape off. Backward rebuilds the inputs
-    as fresh leaves, puts `rng` (the generator `fn` draws from, if any)
-    back in its state at the call, re-runs `fn` with the tape on, returns
-    the generator to where it was and back-propagates through that
-    sub-tape: the parameters `fn` closes over get their gradients there,
-    the inputs get theirs from this node. The recompute repeats the
-    forward's float ops, so every gradient is bitwise the one of calling
-    `fn` on the tape. With the tape off, a plain call.
+    The forward runs `fn` with the tape off. `fn` returns a Tensor, or a
+    tuple of Tensors that each get their own node. Backward rebuilds the
+    inputs as fresh leaves, puts `rng` (the generator `fn` draws from, if
+    any) back in its state at the call, re-runs `fn` once with the tape on,
+    returns the generator to where it was and back-propagates the
+    outputs' gradients through that sub-tape (an output that got none is
+    left out): the parameters `fn` closes over get their gradients there,
+    the inputs get theirs from the recompute's node. The recompute repeats
+    the forward's float ops in the same order. An input's gradient is
+    summed over `fn`'s ops before it joins those of later ops, so every
+    gradient is bitwise the one of calling `fn` on the tape when each
+    input feeds one op in `fn` (as H feeds the drift) or no op after the
+    call. With the tape off, a plain call.
     """
-    if not _grad_enabled:
+    if not _grad_enabled.get():
         return fn(*inputs)
     state = None if rng is None else rng.bit_generator.state
     with no_grad():
-        # a fresh Tensor: fn may return one of its inputs
-        out = Tensor(fn(*inputs).data)
+        result = fn(*inputs)
+    single = isinstance(result, Tensor)
+    # fresh Tensors: fn may return one of its inputs
+    outs = [Tensor(r.data) for r in ((result,) if single else result)]
+    grads = [None] * len(outs)
     arrays = [(x.data, x.requires_grad) for x in inputs]
 
     def _bwd(g):
+        if single:
+            grads[0] = g
         if rng is not None:
             now, rng.bit_generator.state = rng.bit_generator.state, state
         try:
@@ -352,12 +369,19 @@ def checkpoint(fn, inputs, rng=None):
         finally:
             if rng is not None:
                 rng.bit_generator.state = now
-        if sub._node is not None:
-            _backward(sub._node, g)
+        _backward([(s._node, gs) for s, gs in zip((sub,) if single else sub, grads)
+                   if s._node is not None and gs is not None])
         return tuple(leaf.grad for leaf in leaves)
 
-    out._node = _Node(_bwd, tuple(x._node for x in inputs))
-    return out
+    recompute = _Node(_bwd, tuple(x._node for x in inputs))
+    if single:
+        outs[0]._node = recompute
+        return outs[0]
+    for i, out in enumerate(outs):
+        # newer than the recompute node, each output's node runs first: it
+        # stores its whole gradient for the recompute and passes on none
+        out._node = _Node(lambda g, i=i: (grads.__setitem__(i, g),), (recompute,))
+    return tuple(outs)
 
 
 # ---------------------------------------------------------- sparse matrix

@@ -81,9 +81,9 @@ class LGNSDEModel:
         H is an (n, hidden) Tensor, or a batch of states stacked node-major
         as (n*B, hidden) (see ``autodiff.spmm``). Training, prediction and
         the verification harness all run this one closure; dropout on the
-        hidden layer applies only when an rng is passed. On the tape each
-        call is one ``checkpoint`` node that keeps only H; backward
-        recomputes the rest, drawing the same dropout mask again.
+        hidden layer applies only when an rng is passed. The closure is the
+        plain drift: ``integrate``, given the same rng, makes each call one
+        ``checkpoint`` node, so backward draws the same mask again.
         """
         adj = graph.norm_adj
 
@@ -95,7 +95,7 @@ class LGNSDEModel:
             z = adj.matmul(z)
             return ad.add(ad.matmul(z, self.W2), self.b2)
 
-        return lambda h, t: ad.checkpoint(lambda x: drift(x, t), (h,), rng)
+        return drift
 
     def prior_drift(self, h, t):
         """Constant-mu drift, or -theta * H when an OU rate is configured."""
@@ -119,7 +119,7 @@ class LGNSDEModel:
         if kl_weight is None:
             kl_weight = 1.0 / (graph.n * self.hidden)
         h, kl = integrate(self.encode(graph, rng), self.posterior_drift_fn(graph, rng),
-                          self.prior_drift, self.sde_config, path)
+                          self.prior_drift, self.sde_config, path, rng=rng)
         nll = ad.masked_cross_entropy(self.decode(h), graph.labels, graph.train_mask)
         n_train = int(np.count_nonzero(graph.train_mask))
         return ad.scale(nll, float(n_train)) + ad.scale(kl, kl_weight)

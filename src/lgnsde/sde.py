@@ -2,7 +2,8 @@
 
 The solver is unrolled (discretize-then-optimize): every step is recorded
 on the autodiff tape, so gradients of the accumulated KL and of any
-function of the final state flow back into the drift parameters.
+function of the final state flow back into the drift parameters. Each
+drift call is one ``autodiff.checkpoint`` node, recomputed in backward.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, tensor_sum
+from . import autodiff as ad
 
 
 class DivergedError(FloatingPointError):
@@ -22,8 +23,9 @@ class DivergedError(FloatingPointError):
 
     One raised by ``integrate`` says where: the solver ``step`` j, its
     start time ``t`` = t0 + j dt, and ``max_abs_h``, the largest |H| of the
-    state entering step j; ``predict`` adds its MC ``sample``. What does not
-    apply is None.
+    state entering step j; or, when ``observe`` fails on the finite state
+    step j produced, that state's time t0 + (j + 1) dt and largest |H|.
+    ``predict`` adds its MC ``sample``. What does not apply is None.
     """
 
     step = t = max_abs_h = sample = None
@@ -159,16 +161,15 @@ def srk_step(h, drift_fn, g, dw, dt, t, k1=None):
     return h + (k1 + k2) * (dt / 2.0) + noise
 
 
-def _diverged(j, t, h, cause):
-    """The DivergedError of step j, entered at time t with state `h`."""
+def _diverged(j, t, h, head, cause):
+    """The DivergedError of step j about state `h` at time t."""
     max_abs_h = float(np.max(np.abs(h.data)))
-    e = DivergedError(f"integration diverged at step {j} "
-                      f"(t = {t:g}, max |H| = {max_abs_h:.3g}){cause}")
+    e = DivergedError(f"{head} (t = {t:g}, max |H| = {max_abs_h:.3g}){cause}")
     e.step, e.t, e.max_abs_h = j, t, max_abs_h
     return e
 
 
-def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None):
+def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None, rng=None):
     """Advance h0 with the posterior drift driven by the Wiener
     `increments`; return (H(t1), KL).
 
@@ -182,19 +183,50 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
     posterior drift parameters. With no prior drift (prediction) the KL is
-    not computed and is None. A FloatingPointError in step j (raised under
+    not computed and is None.
+
+    On the tape each drift call is one ``checkpoint`` node that keeps only
+    its input state; `rng` is the generator the drift draws dropout from,
+    if any. A step's first call returns its KL term too, so backward
+    recomputes F_post - F_prior rather than keeping it: an SRK step keeps
+    two state-sized buffers (H and the second call's input), an EM step
+    one. A prior that depends on H (OU) is evaluated outside and kept as a
+    second input, since rebuilt inside, its part of H's gradient would be
+    summed in another order than the full unroll's; a constant prior is
+    rebuilt in the recompute. The gradients are bitwise those of the same
+    ops all on the tape. With the tape off, each drift is a plain call.
+
+    A FloatingPointError in step j (raised under
     ``np.errstate(all="raise")``), or a non-finite state after it, is
     raised as a DivergedError that names j, t and the largest |H| of the
     state entering step j.
     With an `observe` callable, ``observe(j + 1, H.data)`` is called after
     each step j, so a caller can reduce the states on the grid without
-    keeping them (the lemma checks of ``verify`` do).
+    keeping them (the lemma checks of ``verify`` do). A FloatingPointError
+    there is a DivergedError that says step j's state was finite and names
+    its time and largest |H|.
     """
     shape = h0.data.shape
     dt = config.dt
     g = config.g
+
+    def drift(h, t):
+        return ad.checkpoint(lambda x: posterior_drift(x, t), (h,), rng)
+
+    def kl_term(f, prior):
+        v = (f - prior) * (1.0 / g)
+        return f, ad.tensor_sum(v * v) * (0.5 * dt)
+
+    def drift_and_kl(h, t):
+        prior = prior_drift(h, t)
+        if prior.requires_grad:
+            return ad.checkpoint(lambda x, p: kl_term(posterior_drift(x, t), p),
+                                 (h, prior), rng)
+        return ad.checkpoint(lambda x: kl_term(posterior_drift(x, t), prior_drift(x, t)),
+                             (h,), rng)
+
     h = h0
-    kl = None if prior_drift is None else Tensor(0.0)
+    kl = None if prior_drift is None else ad.Tensor(0.0)
     steps = iter(increments)
     for j in range(config.steps):
         t = config.t0 + j * dt
@@ -204,21 +236,27 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
         if dw.shape != shape:
             raise ValueError(f"increment {j} has shape {dw.shape}, the state has {shape}")
         try:
-            f_post = posterior_drift(h, t)
-            if kl is not None:
-                v = (f_post - prior_drift(h, t)) * (1.0 / g)
-                kl = kl + tensor_sum(v * v) * (0.5 * dt)
+            if kl is None:
+                f_post = drift(h, t)
+            else:
+                f_post, kl_j = drift_and_kl(h, t)
+                kl = kl + kl_j
             if config.scheme == "em":
                 h_next = em_step(h, f_post, g, dw, dt)
             else:
-                h_next = srk_step(h, posterior_drift, g, dw, dt, t, k1=f_post)
+                h_next = srk_step(h, drift, g, dw, dt, t, k1=f_post)
         except FloatingPointError as e:
-            raise _diverged(j, t, h, f": {e}") from e
+            raise _diverged(j, t, h, f"integration diverged at step {j}", f": {e}") from e
         if not np.all(np.isfinite(h_next.data)):
-            raise _diverged(j, t, h, "")
+            raise _diverged(j, t, h, f"integration diverged at step {j}", "")
         h = h_next
         if observe is not None:
-            observe(j + 1, h.data)
+            try:
+                observe(j + 1, h.data)
+            except FloatingPointError as e:
+                raise _diverged(j, config.t0 + (j + 1) * dt, h,
+                                f"step {j} ended with a finite state",
+                                f", but reducing that state failed: {e}") from e
     if next(steps, None) is not None:
         raise ValueError(f"increments hold more than {config.steps} steps, "
                          f"the config wants {config.steps}")

@@ -1,3 +1,4 @@
+import threading
 import weakref
 
 import numpy as np
@@ -267,6 +268,37 @@ class TestBackward:
             out = ad.tanh(x)
         assert not out.requires_grad and out._node is None
 
+    def test_no_grad_in_another_thread_leaves_this_tape_on(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with ad.no_grad():
+                entered.set()
+                release.wait(30)
+
+        helper = threading.Thread(target=hold)
+        helper.start()
+        try:
+            assert entered.wait(30)
+            x = Tensor(np.ones(2), requires_grad=True)
+            out = ad.tanh(x)
+            assert x._node is not None and out._node is not None
+        finally:
+            release.set()
+            helper.join(30)
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("nested", ["left", "right"])
+    def test_consumers_are_summed_newest_first(self, nested):
+        # x feeds c1, c2, c3, made in that order, which hand it g1 = 1,
+        # g2 = 1e16 and g3 = -1e16: (g3 + g2) + g1 is 1, and every order
+        # that does not add g1 last rounds the 1 away
+        x = Tensor(np.ones(1), requires_grad=True)
+        c1, c2, c3 = ad.scale(x, 1.0), ad.scale(x, 1e16), ad.scale(x, -1e16)
+        total = ad.add(ad.add(c1, c2), c3) if nested == "left" else ad.add(c1, ad.add(c2, c3))
+        backward(ad.tensor_sum(total))
+        assert x.grad[0] == 1.0
+
 
 
 class TestTape:
@@ -325,6 +357,42 @@ class TestCheckpoint:
         loss, gx, gw, _, _ = self.run(True)
         ref_loss, ref_gx, ref_gw, _, _ = self.run(False)
         assert float(loss.data) == float(ref_loss.data)
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gw, ref_gw)
+
+    @pytest.mark.parametrize("use", ["both", "first", "second", "first-twice"])
+    def test_tuple_outputs_bitwise_equal_the_full_tape(self, use):
+        # fn returns (y, s) with s reading y, as integrate's first drift call
+        # returns the drift and a KL term computed from it; the loss reads
+        # both outputs, one of them, or the first twice. Its input feeds one
+        # op, as H feeds only the drift's concat_cols
+        def run(through_checkpoint):
+            data = np.random.Generator(np.random.PCG64(5))
+            x = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+            w = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+            rng = np.random.Generator(np.random.PCG64(6))
+            layer = self.layer(w)
+
+            def fn(a):
+                y = layer(ad.scale(a, 1.0), rng)
+                return y, ad.tensor_sum(ad.mul(y, y))
+
+            h, total = x, Tensor(0.0)
+            for _ in range(3):
+                y, s = ad.checkpoint(fn, (h,), rng) if through_checkpoint else fn(h)
+                if use in ("both", "second"):
+                    total = ad.add(total, s)
+                if use == "first-twice":
+                    h = ad.add(y, ad.scale(y, 0.5))
+                elif use != "second":
+                    h = y
+            loss = ad.add(ad.tensor_sum(ad.mul(h, h)), total)
+            forward_state = rng.bit_generator.state
+            backward(loss)
+            return float(loss.data), x.grad, w.grad, forward_state, rng.bit_generator.state
+
+        loss, gx, gw, forward_state, after = run(True)
+        ref_loss, ref_gx, ref_gw, ref_state, _ = run(False)
+        assert loss == ref_loss and forward_state == ref_state == after
         assert np.array_equal(gx, ref_gx) and np.array_equal(gw, ref_gw)
 
     def test_generator_ends_where_the_forward_left_it(self):

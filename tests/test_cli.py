@@ -546,6 +546,18 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"diverged: {command}: "), proc.stderr
 
 
+    def test_verify_reduction_overflow_names_the_step(self, tmp_path):
+        # every solver step is finite at g = 1e160; squaring the state in a
+        # lemma's grid reduction overflows
+        path = write_cfg(tmp_path, extra="sbm_nodes_per_class = 6\ng = 1e160\n")
+        proc = run_subprocess("verify", "--config", path, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [
+            "diverged: verify: step 0 ended with a finite state (t = 0.166667, max |H| "
+            "= 1.93e+160), but reducing that state failed: overflow encountered in "
+            "square"], proc.stderr
+
+
 class TestHeldOutClass:
     """Only `ood` holds a class out, and it holds it out of every mask."""
 

@@ -332,6 +332,23 @@ class TestIntegrate:
         assert e.value.max_abs_h == np.abs(states[step]).max()
         assert f"max |H| = {e.value.max_abs_h:.3g})" in str(e.value)
 
+    def test_observer_error_names_the_finite_state(self):
+        # step 1 is finite; squaring its state in the observer overflows
+        cfg = SDEConfig(steps=4, g=1.0, scheme="em")
+        h0 = Tensor(np.ones((1, 1)))
+
+        def observe(j, h):
+            if j == 2:
+                (h * 1e300) ** 2
+
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match=r"^step 1 ended with a finite state \(t = 0.5, max "
+                                     r"\|H\| = 3\), but reducing that state failed: "
+                                     r"overflow encountered in square$") as e:
+            integrate(h0, const_drift(4.0), None, cfg, np.zeros((4, 1, 1)), observe)
+        assert isinstance(e.value.__cause__, FloatingPointError)
+        assert (e.value.step, e.value.t, e.value.max_abs_h) == (1, 0.5, 3.0)
+
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_per_step_arrays_equal_the_path_array(self, scheme):
         # a stream of per-step copies drives the solver to the same bits
