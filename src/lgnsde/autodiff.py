@@ -416,7 +416,9 @@ class SparseMatrix:
         return int(self._csr.nnz)
 
     def matmul(self, h):
-        """A @ h for a Tensor h; see ``spmm``."""
+        """A @ h for a Tensor h; see ``spmm``. The model calls ``spmm``
+        itself: this method stays only because the benchmark's tracer
+        looks it up by name."""
         return spmm(self, h)
 
 

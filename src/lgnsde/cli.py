@@ -262,8 +262,7 @@ def cmd_verify(cfg, out):
     l1z = lemma1_check(model, graph, seed=cfg.seed + 1, zero_drift=True)
     l2 = lemma2_check(model, graph, seed=cfg.seed)
     sde_cfg = model.sde_config
-    path = BrownianPath(cfg.seed, sde_cfg.steps, graph.n, model.hidden,
-                        sde_cfg.t0, sde_cfg.t1)
+    path = BrownianPath(cfg.seed, sde_cfg.steps, graph.n, model.hidden, t1=sde_cfg.t1)
     resnet_dev = resnet_equivalence(model, graph, path)
     write_report(l1, os.path.join(out, "lemma1.json"), os.path.join(out, "lemma1.csv"))
     write_report(l1z, os.path.join(out, "lemma1_zero_drift.json"),
@@ -283,10 +282,12 @@ def cmd_gradcheck(cfg, out):
     graph = sbm_generate(2, 3, 0.6, 0.2, 3, 1.0, seed=cfg.seed)
     graph = make_splits(graph, SplitSpec(seed=cfg.seed, train_frac=0.34, val_frac=0.33))
     model = LGNSDEModel(d_in=graph.d_in, num_classes=graph.num_classes,
-                        hidden=2, steps=4, g=cfg.g, scheme=cfg.scheme,
-                        dropout=0.0, seed=cfg.seed)
+                        hidden=2, t1=cfg.t1, steps=4, g=cfg.g, scheme=cfg.scheme,
+                        dropout=0.0, prior_mu=cfg.prior_mu,
+                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
     os.makedirs(out, exist_ok=True)
-    path = BrownianPath(int(rng.integers(2 ** 31)), 4, graph.n, 2)
+    grid = model.sde_config
+    path = BrownianPath(int(rng.integers(2 ** 31)), grid.steps, graph.n, model.hidden, t1=grid.t1)
     table = elbo_gradient_check(model, graph, path)
     _write_json(os.path.join(out, "gradcheck.json"), table)
     for name, err in table.items():

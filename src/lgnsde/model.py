@@ -25,7 +25,7 @@ def glorot(rng, fan_in, fan_out):
 class LGNSDEModel:
     """Encoder + GCN posterior drift + constant/OU prior + affine decoder."""
 
-    def __init__(self, d_in, num_classes, hidden=64, t0=0.0, t1=1.0, steps=16,
+    def __init__(self, d_in, num_classes, hidden=64, t1=1.0, steps=16,
                  g=1.0, scheme="srk", dropout=0.2, mc_samples=20,
                  prior_mu=0.0, prior_ou_theta=None, seed=0):
         if hidden < 1:
@@ -41,7 +41,7 @@ class LGNSDEModel:
         self.d_in = d_in
         self.num_classes = num_classes
         self.hidden = hidden
-        self.sde_config = SDEConfig(t0=t0, t1=t1, steps=steps, g=g, scheme=scheme)
+        self.sde_config = SDEConfig(t1=t1, steps=steps, g=g, scheme=scheme)
         self.dropout = dropout
         self.mc_samples = mc_samples
         self.prior_mu = float(prior_mu)
@@ -64,7 +64,7 @@ class LGNSDEModel:
         return [getattr(self, name) for name in self._param_names]
 
     def encode(self, graph, rng=None):
-        """H(t0) = dropout(X) W_enc + b_enc; node-wise, no graph mixing.
+        """H(0) = dropout(X) W_enc + b_enc; node-wise, no graph mixing.
 
         Dropout applies only when an rng is passed (training). On the tape
         the encoder is one ``checkpoint`` node, so the dropped copy of X is
@@ -89,19 +89,20 @@ class LGNSDEModel:
 
         def drift(h, t):
             time_col = Tensor(np.full((h.data.shape[0], 1), float(t)))
-            z = adj.matmul(ad.concat_cols(h, time_col))
+            z = ad.spmm(adj, ad.concat_cols(h, time_col))
             z = ad.tanh(ad.add(ad.matmul(z, self.W1), self.b1))
             z = ad.dropout(z, self.dropout, rng)
-            z = adj.matmul(z)
+            z = ad.spmm(adj, z)
             return ad.add(ad.matmul(z, self.W2), self.b2)
 
         return drift
 
     def prior_drift(self, h, t):
-        """Constant-mu drift, or -theta * H when an OU rate is configured."""
+        """-theta * H when an OU rate is configured, else the constant mu as
+        a zero-stride view shaped like H, which ``integrate`` keeps for free."""
         if self.prior_ou_theta is not None:
             return h * (-self.prior_ou_theta)
-        return Tensor(np.full(h.data.shape, self.prior_mu))
+        return Tensor(np.broadcast_to(self.prior_mu, h.data.shape))
 
     def decode(self, h):
         return ad.add(ad.matmul(h, self.W_dec), self.b_dec)
@@ -168,13 +169,12 @@ class LGNSDEModel:
 
     # ------------------------------------------------------- checkpointing
 
-    CHECKPOINT_VERSION = 1
+    CHECKPOINT_VERSION = 2
 
     def config_dict(self):
         cfg = self.sde_config
-        return {"d_in": self.d_in, "num_classes": self.num_classes,
-                "hidden": self.hidden, "t0": cfg.t0, "t1": cfg.t1,
-                "steps": cfg.steps, "g": cfg.g, "scheme": cfg.scheme,
+        return {"d_in": self.d_in, "num_classes": self.num_classes, "hidden": self.hidden,
+                "t1": cfg.t1, "steps": cfg.steps, "g": cfg.g, "scheme": cfg.scheme,
                 "dropout": self.dropout, "mc_samples": self.mc_samples,
                 "prior_mu": self.prior_mu, "prior_ou_theta": self.prior_ou_theta,
                 "seed": self.seed, "version": self.CHECKPOINT_VERSION}
@@ -188,8 +188,8 @@ class LGNSDEModel:
 
     # JSON types of the config_dict() entries but the version
     _config_types = dict(d_in=int, num_classes=int, hidden=int, steps=int,
-                         mc_samples=int, seed=int, scheme=str, t0=(int, float),
-                         t1=(int, float), g=(int, float), dropout=(int, float),
+                         mc_samples=int, seed=int, scheme=str, t1=(int, float),
+                         g=(int, float), dropout=(int, float),
                          prior_mu=(int, float), prior_ou_theta=(int, float, type(None)))
 
     @classmethod

@@ -22,9 +22,9 @@ class DivergedError(FloatingPointError):
     so one ``except`` catches it and a numpy overflow alike.
 
     One raised by ``integrate`` says where: the solver ``step`` j, its
-    start time ``t`` = t0 + j dt, and ``max_abs_h``, the largest |H| of the
+    start time ``t`` = j dt, and ``max_abs_h``, the largest |H| of the
     state entering step j; or, when ``observe`` fails on the finite state
-    step j produced, that state's time t0 + (j + 1) dt and largest |H|.
+    step j produced, that state's time (j + 1) dt and largest |H|.
     ``predict`` adds its MC ``sample``. What does not apply is None.
     """
 
@@ -33,18 +33,17 @@ class DivergedError(FloatingPointError):
 
 @dataclass
 class SDEConfig:
-    t0: float = 0.0
+    t0 = 0.0  # not a field: every solve starts at 0 (perfbench reads it)
     t1: float = 1.0
     steps: int = 16
     g: float = 1.0
     scheme: str = "srk"   # "em" or "srk"
 
     def __post_init__(self):
-        if not np.isfinite([self.t0, self.t1, self.g]).all():
-            raise ValueError(f"t0, t1 and g must be finite, got "
-                             f"{self.t0}, {self.t1}, {self.g}")
-        if self.t1 <= self.t0:
-            raise ValueError("t1 must exceed t0")
+        if not np.isfinite([self.t1, self.g]).all():
+            raise ValueError(f"t1 and g must be finite, got {self.t1}, {self.g}")
+        if self.t1 <= 0:
+            raise ValueError("t1 must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.steps > 2 ** 53:  # beyond it a float64 no longer holds every step index
@@ -56,7 +55,7 @@ class SDEConfig:
 
     @property
     def dt(self):
-        return (self.t1 - self.t0) / self.steps
+        return self.t1 / self.steps
 
 
 class BrownianPath:
@@ -185,16 +184,17 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     posterior drift parameters. With no prior drift (prediction) the KL is
     not computed and is None.
 
-    On the tape each drift call is one ``checkpoint`` node that keeps only
-    its input state; `rng` is the generator the drift draws dropout from,
-    if any. A step's first call returns its KL term too, so backward
-    recomputes F_post - F_prior rather than keeping it: an SRK step keeps
-    two state-sized buffers (H and the second call's input), an EM step
-    one. A prior that depends on H (OU) is evaluated outside and kept as a
-    second input, since rebuilt inside, its part of H's gradient would be
-    summed in another order than the full unroll's; a constant prior is
-    rebuilt in the recompute. The gradients are bitwise those of the same
-    ops all on the tape. With the tape off, each drift is a plain call.
+    The solve starts at time 0, so step j starts at t = j dt. On the tape
+    each drift call is one ``checkpoint`` node that keeps only its inputs;
+    `rng` is the generator the drift draws dropout from, if any. A step's
+    first call takes (H, F_prior(H, t)) and returns its KL term too, so
+    backward recomputes F_post - F_prior rather than keeping it: an SRK
+    step keeps two state-sized buffers (H and the second call's input),
+    an EM step one, and an OU prior -theta H one more; a constant prior
+    is a zero-stride view and keeps none. The prior is evaluated outside
+    the checkpoint, so its part of H's gradient is summed in the order of
+    the full unroll, and the gradients are bitwise those of the same ops
+    all on the tape. With the tape off, each drift is a plain call.
 
     A FloatingPointError in step j (raised under
     ``np.errstate(all="raise")``), or a non-finite state after it, is
@@ -218,18 +218,14 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
         return f, ad.tensor_sum(v * v) * (0.5 * dt)
 
     def drift_and_kl(h, t):
-        prior = prior_drift(h, t)
-        if prior.requires_grad:
-            return ad.checkpoint(lambda x, p: kl_term(posterior_drift(x, t), p),
-                                 (h, prior), rng)
-        return ad.checkpoint(lambda x: kl_term(posterior_drift(x, t), prior_drift(x, t)),
-                             (h,), rng)
+        return ad.checkpoint(lambda x, p: kl_term(posterior_drift(x, t), p),
+                             (h, prior_drift(h, t)), rng)
 
     h = h0
     kl = None if prior_drift is None else ad.Tensor(0.0)
     steps = iter(increments)
     for j in range(config.steps):
-        t = config.t0 + j * dt
+        t = j * dt
         dw = next(steps, None)
         if dw is None:
             raise ValueError(f"increments hold {j} steps, the config wants {config.steps}")
@@ -254,7 +250,7 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
             try:
                 observe(j + 1, h.data)
             except FloatingPointError as e:
-                raise _diverged(j, config.t0 + (j + 1) * dt, h,
+                raise _diverged(j, (j + 1) * dt, h,
                                 f"step {j} ended with a finite state",
                                 f", but reducing that state failed: {e}") from e
     if next(steps, None) is not None:

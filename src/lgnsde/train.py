@@ -69,7 +69,7 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
     for epoch in range(epochs):
         rng = np.random.Generator(np.random.PCG64(int(drop_seeds[epoch])))
         path = BrownianPath(int(path_seeds[epoch]), cfg.steps, graph.n,
-                            model.hidden, cfg.t0, cfg.t1)
+                            model.hidden, t1=cfg.t1)
         # an overflow or NaN raises where it is made, and no numpy warning
         # reaches stderr; Adam checks its moments before writing parameters.
         # The error text says whether validation or the training step made it

@@ -59,7 +59,7 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
                  zero_drift=False):
     """Variance-bound check: Var(y(t)) <= L_h^2 Var(H(t)) on an MC ensemble.
 
-    The mc paths start at H(t0), driven by the increments
+    The mc paths start at H(0), driven by the increments
     ``BrownianPath(seed, steps, n*mc, hidden)`` yields, drawn one step
     at a time on ``drawn_ahead``'s helper thread while the step before
     integrates, so two (n*mc, hidden) noise buffers are live, not the whole
@@ -70,10 +70,10 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
     C_i, each PSD, so var_y <= ||W||_2^2 sum_i tr(C_i) = L_h^2 var_h, and a
     row passes within a rounding tolerance of 1e-9.
 
-    Each row also has ``diffusion_bound`` = g^2 (t - t0) n h. With
+    Each row also has ``diffusion_bound`` = g^2 t n h. With
     `zero_drift` the drift is 0 (the model's GCN is never built), so each
-    coordinate of H(t) is N(h0, g^2 (t - t0)), independent across paths and
-    coordinates, and var_h (mc - 1) / (g^2 (t - t0)) is exactly chi^2 with
+    coordinate of H(t) is N(h0, g^2 t), independent across paths and
+    coordinates, and var_h (mc - 1) / (g^2 t) is exactly chi^2 with
     (mc - 1) n h degrees of freedom. ``diffusion_low`` and
     ``diffusion_high`` are its quantiles at alpha = 1e-6, split over the
     grid rows and both tails. ``pass`` needs every ``output_pass``, and
@@ -94,11 +94,11 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
         """One grid row from the (n*mc, hidden) batch at step j."""
         if j not in grid:
             return
-        t = cfg.t0 + j * cfg.dt
+        t = j * cfg.dt
         var_h = float(h.reshape(n, mc, -1).var(axis=1, ddof=1).sum())
         var_y = float(model.decode(Tensor(h)).data.reshape(n, mc, -1).var(axis=1, ddof=1).sum())
         out_bound = l_h ** 2 * var_h
-        spread = cfg.g ** 2 * (t - cfg.t0)
+        spread = cfg.g ** 2 * t
         low, high = (float(q) for q in spread * band)
         rows.append({
             "t": float(t),
@@ -128,7 +128,7 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
 def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     """Coupled-path perturbation bound E||H - H~||_F <= eps * e^{L_f t}.
 
-    Each trial moves H(t0) by eps along a random unit direction. The base
+    Each trial moves H(0) by eps along a random unit direction. The base
     and perturbed paths of all trials are one batch, laid out as
     (n, 2, trials, hidden); a pair shares its trial's increments, so with a
     constant diffusion the noise cancels exactly (the lemma's L_g^2/2 term
@@ -182,7 +182,7 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     def observe(j, h):
         """The measured half of a grid row, from the pairs at step j."""
         if j in grid:
-            rows.append({"t": float(cfg.t0 + j * cfg.dt), "measured": float(gap(h).mean())})
+            rows.append({"t": float(j * cfg.dt), "measured": float(gap(h).mean())})
 
     with no_grad(), drawn_ahead(itertools.repeat(rng, cfg.steps), (n, 1, trials, hidden),
                                 cfg.dt) as draws:
@@ -194,9 +194,8 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
                   increments, observe)
     l_f = estimate_lipschitz(model)
     for r in rows:
-        elapsed = r["t"] - cfg.t0
-        r["bound"] = float(epsilon * np.exp(l_f * elapsed))
-        r["realized_bound"] = float(epsilon * np.exp(realized_lf * elapsed))
+        r["bound"] = float(epsilon * np.exp(l_f * r["t"]))
+        r["realized_bound"] = float(epsilon * np.exp(realized_lf * r["t"]))
         r["pass"] = r["measured"] <= r["realized_bound"] * (1.0 + 1e-6)
     certified = realized_lf <= l_f * (1.0 + 1e-9)
     return {"epsilon": epsilon, "trials": trials, "L_f_realized": realized_lf,
@@ -219,7 +218,7 @@ def resnet_equivalence(model, graph, path):
         h = model.encode(graph)
         h_em, _ = integrate(h, drift, None, cfg, path)
         for j, dw in enumerate(path):
-            h = h + drift(h, cfg.t0 + j * cfg.dt) * cfg.dt + cfg.g * dw
+            h = h + drift(h, j * cfg.dt) * cfg.dt + cfg.g * dw
     return float(np.abs(h.data - h_em.data).max())
 
 

@@ -315,6 +315,26 @@ class TestExitCodes:
             "diverged: eval: MC sample 0: integration diverged at step 0 (t = 0, "
             "max |H| = 4.74): overflow encountered in matmul"], proc.stderr
 
+    def test_version_1_checkpoint_is_one_config_error(self, tmp_path):
+        # a file of the format before t0 was dropped: version 1, with t0
+        ckpt = tmp_path / "model.npz"
+        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        config = json.loads(arrays["config"].tobytes())
+        config.update(t0=0.0, version=1)
+        arrays["config"] = np.frombuffer(json.dumps(config, sort_keys=True).encode(),
+                                         dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        out = tmp_path / "out"
+        proc = run_subprocess("eval", "--config", write_cfg(tmp_path), "--out", str(out),
+                              "--checkpoint", str(ckpt))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"config error: unreadable checkpoint {str(ckpt)!r}: "
+            "unsupported checkpoint version"], proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, message", [
         ("empty", "No data left in file"), ("truncated", ""), ("text", ""),
         ("no-W1", "'W1 is not a file in the archive'"),
@@ -745,6 +765,20 @@ class TestVerifyAndGradcheck:
         assert code == 0
         table = json.loads((out / "gradcheck.json").read_text())
         assert table["max"] < 1e-4
+
+    def test_gradcheck_checks_the_configured_prior(self, tmp_path):
+        # the check's model takes the config's prior, so an OU or a shifted
+        # constant prior gives other gradients than the default; gradcheck
+        # once built its model with the default prior whatever the config said
+        tables = {}
+        for name, extra in (("default", ""), ("ou", "prior_ou_theta = 0.5\n"),
+                            ("mu", "prior_mu = 0.3\n")):
+            cfg = write_cfg(tmp_path, name=f"{name}.cfg", extra=extra)
+            out = tmp_path / name
+            assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
+            tables[name] = (out / "gradcheck.json").read_bytes()
+            assert json.loads(tables[name])["max"] < 1e-4
+        assert tables["ou"] != tables["default"] and tables["mu"] != tables["default"]
 
     def test_gradcheck_failure_is_one_line(self, tmp_path, capsys):
         # the noise swamps the state, so the differences cannot resolve the

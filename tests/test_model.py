@@ -307,6 +307,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             LGNSDEModel.load(p)
 
+    def test_t0_is_no_parameter(self):
+        # every solve starts at 0; t0 is neither a constructor argument nor
+        # a checkpoint key
+        with pytest.raises(TypeError, match="t0"):
+            LGNSDEModel(d_in=4, num_classes=3, t0=0.0)
+        assert "t0" not in LGNSDEModel(d_in=4, num_classes=3).config_dict()
+
     def test_non_finite_parameter_is_diverged(self, tmp_path):
         g = make_graph()
         m = small_model(g)
@@ -404,10 +411,9 @@ class TestRecompute:
         assert loss == ref_loss and epochs == ref_epochs and state == ref_state
         assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
 
-    def test_drift_and_encoder_are_single_nodes(self, monkeypatch):
-        # inside a taped integrate each drift call is one checkpoint node
-        # whose only parent is the node of the state it reads; a step's
-        # first call returns its KL term too, each output a node on it
+    @staticmethod
+    def checkpoint_calls(monkeypatch, ou):
+        """(inputs, output) of every checkpoint call in one training step."""
         calls = []
         real = ad.checkpoint
 
@@ -417,34 +423,61 @@ class TestRecompute:
             return out
 
         g = make_graph()
-        m = small_model(g, dropout=0.2, steps=3)
+        m = small_model(g, dropout=0.2, steps=3, prior_mu=0.3, prior_ou_theta=ou)
         monkeypatch.setattr(ad, "checkpoint", spy)
         m.training_loss(g, BrownianPath(0, 3, g.n, 3), rng=np.random.Generator(np.random.PCG64(0)))
-        (inputs, encoded), *drifts = calls
+        return calls
+
+    @staticmethod
+    def first_call_nodes(drifts):
+        """Yield (H, prior, recompute node) of each step's first drift call,
+        checking that it read (H, prior) and that both its outputs, the
+        drift and the KL term, are nodes on one recompute node."""
+        assert [len(inputs) for inputs, _ in drifts] == [2, 1] * 3
+        for (h, prior), (f, kl) in drifts[0::2]:
+            node = f._node.parents[0]
+            assert f._node.parents == kl._node.parents == (node,)
+            assert h._node is not None
+            yield h, prior, node
+
+    def test_drift_and_encoder_are_single_nodes(self, monkeypatch):
+        # inside a taped integrate each drift call is one checkpoint node.
+        # A step's first call reads (H, prior) and returns its KL term too;
+        # the constant prior is a zero-stride view with no node, so the
+        # recompute node's parents are (H's node, None). The step's second
+        # call reads only its state
+        (inputs, encoded), *drifts = self.checkpoint_calls(monkeypatch, None)
         assert inputs == () and encoded._node.parents == ()
         assert [isinstance(out, tuple) for _, out in drifts] == [True, False] * 3
-        for (h,), out in drifts:
-            if isinstance(out, tuple):
-                f, kl = out
-                node = f._node.parents[0]
-                assert f._node.parents == kl._node.parents == (node,)
-            else:
-                node = out._node
-            assert h._node is not None and node.parents == (h._node,)
+        for h, prior, node in self.first_call_nodes(drifts):
+            assert prior._node is None and prior.data.strides == (0, 0)
+            assert np.all(prior.data == 0.3)
+            assert node.parents == (h._node, None)
+        for (h,), out in drifts[1::2]:
+            assert h._node is not None and out._node.parents == (h._node,)
+
+    def test_ou_prior_is_the_second_parent(self, monkeypatch):
+        # the OU prior -theta H is on the tape: its node is the recompute
+        # node's second parent
+        _, *drifts = self.checkpoint_calls(monkeypatch, 0.5)
+        for h, prior, node in self.first_call_nodes(drifts):
+            assert prior._node is not None and node.parents == (h._node, prior._node)
+            assert np.array_equal(prior.data, h.data * -0.5)
 
 
 class TestTapeMemory:
     graph = make_splits(sbm_generate(3, 100, 0.05, 0.005, 16, 2.0, seed=0),
                         SplitSpec(seed=0, train_frac=0.3, val_frac=0.3))
 
-    def buffers_per_step(self, scheme):
+    def buffers_per_step(self, scheme, ou=None):
         """The slope of one training step's traced peak in the solver steps,
         in state-sized buffers per step."""
         graph, hidden = self.graph, 32
 
         def step_peak(steps):
             model = LGNSDEModel(graph.d_in, graph.num_classes, hidden=hidden,
-                                steps=steps, dropout=0.2, scheme=scheme, seed=0)
+                                steps=steps, dropout=0.2, scheme=scheme,
+                                prior_ou_theta=ou, seed=0)
             path = BrownianPath(1, steps, graph.n, hidden)
             rng = np.random.Generator(np.random.PCG64(2))
             tracemalloc.start()
@@ -467,6 +500,15 @@ class TestTapeMemory:
     def test_buffers_kept_per_em_step(self):
         # an EM step keeps only H (1.05 measured; 2.04 with the KL integrand)
         assert self.buffers_per_step("em") <= 1.2
+
+    def test_buffers_kept_per_ou_solver_step(self):
+        # an OU prior -theta H is a checkpoint input of each step's first
+        # drift call, one buffer more per step (3.08 measured)
+        assert self.buffers_per_step("srk", ou=0.5) <= 3.2
+
+    def test_buffers_kept_per_ou_em_step(self):
+        # H and the OU prior (2.06 measured)
+        assert self.buffers_per_step("em", ou=0.5) <= 2.2
 
     def test_step_peak_below_whole_path_and_float_masks(self, monkeypatch):
         # the same training step with what the tape held before: the whole

@@ -1,5 +1,6 @@
 import itertools
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -398,3 +399,10 @@ class TestSDEConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SDEConfig(**kwargs)
+
+    def test_t0_is_a_constant_not_a_field(self):
+        with pytest.raises(TypeError, match="t0"):
+            SDEConfig(t0=0.5)
+        assert [f.name for f in fields(SDEConfig)] == ["t1", "steps", "g", "scheme"]
+        cfg = SDEConfig(t1=2.0, steps=8)
+        assert cfg.t0 == 0.0 and cfg.dt == 0.25
