@@ -32,7 +32,7 @@ log = train_model(model, graph, epochs=300, patience=50, lr=0.01,
                   seed=seed, val_mc=2, verbose=True)
 print(f"best val acc {log.best_val_acc:.4f} at epoch {log.best_epoch}")
 
-probs = model.predict(graph, master_seed=seed)
+probs = model.predict(graph, mc_samples=20, master_seed=seed)
 report = evaluate(probs, graph.labels, graph.test_mask)
 print(f"test accuracy {report.accuracy:.4f}  "
       f"micro-AUROC {report.micro_auroc:.4f}  AURC {report.aurc:.4f}")

@@ -53,7 +53,8 @@ def _recording(enabled):
 
 
 def no_grad():
-    """Disable tape recording inside the block (pure inference)."""
+    """Disable tape recording of ops inside the block (pure inference). A
+    leaf made there with requires_grad still gets its node."""
     return _recording(False)
 
 
@@ -86,7 +87,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self._node = _Node() if requires_grad and _grad_enabled.get() else None
+        self._node = _Node() if requires_grad else None
 
     @property
     def requires_grad(self):
@@ -152,12 +153,14 @@ def matmul(a, b):
 
 
 def add(a, b):
-    """Elementwise add; also supports a row-broadcast bias (1,d) or (d,)."""
-    bias_like = b.data.shape != a.data.shape
-    if bias_like and b.data.reshape(-1).shape[0] != a.data.shape[-1]:
-        raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    """Elementwise add; also supports a row-broadcast bias (1,d) or (d,)
+    on an (n, d) `a`."""
+    shape, b_shape = a.data.shape, b.data.shape
+    bias_like = b_shape != shape
+    if bias_like and (len(shape) != 2 or b_shape not in ((shape[1],), (1, shape[1]))):
+        raise ValueError(f"add shape mismatch: {shape} + {b_shape}")
     out_data = a.data + b.data
-    b_shape, rb = b.data.shape, b.requires_grad
+    rb = b.requires_grad
 
     def _bwd(g):
         return g, (g.sum(axis=0).reshape(b_shape) if bias_like and rb else g)

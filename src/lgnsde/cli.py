@@ -138,18 +138,20 @@ def build_model(cfg, graph):
     return LGNSDEModel(d_in=graph.d_in, num_classes=graph.num_classes,
                        hidden=cfg.hidden, t1=cfg.t1, steps=cfg.steps,
                        g=cfg.g, scheme=cfg.scheme, dropout=cfg.dropout,
-                       mc_samples=cfg.mc_samples, prior_mu=cfg.prior_mu,
-                       prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
+                       prior_mu=cfg.prior_mu, prior_ou_theta=cfg.prior_ou_theta,
+                       seed=cfg.seed)
 
 
 @contextmanager
 def run_training(cfg, model, graph, out, name):
-    """Check the configured training settings, make `out`, run train_model
-    with them, save the model to out/name and hand the RunLog to the
-    command's reports. If training diverged, one DivergedError says so
-    once the reports are made, or also names the test predict's own
+    """Check the configured training settings and MC count, make `out`, run
+    train_model with them, save the model to out/name and hand the RunLog
+    to the command's reports. If training diverged, one DivergedError says
+    so once the reports are made, or also names the test predict's own
     divergence if they cannot be."""
     check_settings(cfg.epochs, cfg.patience, cfg.lr, cfg.val_mc, cfg.kl_weight)
+    if cfg.mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
     os.makedirs(out, exist_ok=True)
     log = train_model(model, graph, epochs=cfg.epochs, patience=cfg.patience,
                       lr=cfg.lr, seed=cfg.seed, val_mc=cfg.val_mc,
@@ -187,7 +189,7 @@ def cmd_train(cfg, out):
     model = build_model(cfg, graph)
     with run_training(cfg, model, graph, out, "model.npz") as log:
         _write_json(os.path.join(out, "runlog.json"), asdict(log))
-        report, probs = test_report(model, graph, master_seed=cfg.seed)
+        report, probs = test_report(model, graph, cfg.mc_samples, master_seed=cfg.seed)
         report.to_json(os.path.join(out, "eval.json"))
         ent = entropy_rows(probs[graph.test_mask])
         correct = probs[graph.test_mask].argmax(axis=1) == graph.labels[graph.test_mask]
@@ -204,8 +206,8 @@ def cmd_eval(cfg, out, checkpoint):
         raise ValueError(f"checkpoint {checkpoint!r} is for {model.d_in} features and "
                          f"{model.num_classes} classes, the dataset has "
                          f"{graph.d_in} and {graph.num_classes}")
+    report, _ = test_report(model, graph, cfg.mc_samples, master_seed=cfg.seed)
     os.makedirs(out, exist_ok=True)
-    report, probs = test_report(model, graph, master_seed=cfg.seed)
     report.to_json(os.path.join(out, "eval.json"))
     print(report.to_json())
 
@@ -218,7 +220,7 @@ def cmd_ood(cfg, out):
     model = build_model(cfg, view)
     with run_training(cfg, model, view, out, "model_ood.npz") as log:
         _write_json(os.path.join(out, "runlog.json"), asdict(log))
-        probs = model.predict(view, master_seed=cfg.seed)
+        probs = model.predict(view, cfg.mc_samples, master_seed=cfg.seed)
         test = np.asarray(view.test_mask, dtype=bool)
         block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
         in_test = test & ~is_ood

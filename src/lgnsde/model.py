@@ -26,14 +26,12 @@ class LGNSDEModel:
     """Encoder + GCN posterior drift + constant/OU prior + affine decoder."""
 
     def __init__(self, d_in, num_classes, hidden=64, t1=1.0, steps=16,
-                 g=1.0, scheme="srk", dropout=0.2, mc_samples=20,
-                 prior_mu=0.0, prior_ou_theta=None, seed=0):
+                 g=1.0, scheme="srk", dropout=0.2, prior_mu=0.0,
+                 prior_ou_theta=None, seed=0):
         if hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {hidden}")
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {dropout}")
-        if mc_samples < 1:
-            raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
         theta = 0.0 if prior_ou_theta is None else prior_ou_theta
         if not np.isfinite([prior_mu, theta]).all():
             raise ValueError(f"prior_mu and prior_ou_theta must be finite, got "
@@ -43,7 +41,6 @@ class LGNSDEModel:
         self.hidden = hidden
         self.sde_config = SDEConfig(t1=t1, steps=steps, g=g, scheme=scheme)
         self.dropout = dropout
-        self.mc_samples = mc_samples
         self.prior_mu = float(prior_mu)
         self.prior_ou_theta = prior_ou_theta
         self.seed = seed
@@ -130,7 +127,7 @@ class LGNSDEModel:
         with dropout off; exactly -training_loss with kl_weight = 1."""
         return -self.training_loss(graph, path, kl_weight=1.0)
 
-    def predict(self, graph, mc_samples=None, master_seed=0, return_samples=False):
+    def predict(self, graph, mc_samples, master_seed=0, return_samples=False):
         """MC posterior predictive: average softmax over Brownian samples.
 
         Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
@@ -140,11 +137,10 @@ class LGNSDEModel:
         draws ahead of the solver, so the next sample's steps go into the
         buffers the current one has finished with. A DivergedError names
         its ``sample`` i, and its message starts ``MC sample i: ``."""
-        n_mc = self.mc_samples if mc_samples is None else mc_samples
-        if n_mc < 1:
-            raise ValueError("mc_samples must be >= 1")
+        if mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
         cfg = self.sde_config
-        seeds = np.random.SeedSequence(master_seed).generate_state(n_mc)
+        seeds = np.random.SeedSequence(master_seed).generate_state(mc_samples)
         rngs = itertools.chain.from_iterable(
             itertools.repeat(np.random.Generator(np.random.PCG64(int(s))), cfg.steps)
             for s in seeds)
@@ -153,7 +149,7 @@ class LGNSDEModel:
                                     buffers=cfg.steps) as stream:
             h0 = self.encode(graph)
             drift = self.posterior_drift_fn(graph)
-            for i in range(n_mc):
+            for i in range(mc_samples):
                 try:
                     h, _ = integrate(h0, drift, None, cfg, itertools.islice(stream, cfg.steps))
                 except DivergedError as e:
@@ -169,15 +165,15 @@ class LGNSDEModel:
 
     # ------------------------------------------------------- checkpointing
 
-    CHECKPOINT_VERSION = 2
+    CHECKPOINT_VERSION = 3
 
     def config_dict(self):
         cfg = self.sde_config
         return {"d_in": self.d_in, "num_classes": self.num_classes, "hidden": self.hidden,
                 "t1": cfg.t1, "steps": cfg.steps, "g": cfg.g, "scheme": cfg.scheme,
-                "dropout": self.dropout, "mc_samples": self.mc_samples,
-                "prior_mu": self.prior_mu, "prior_ou_theta": self.prior_ou_theta,
-                "seed": self.seed, "version": self.CHECKPOINT_VERSION}
+                "dropout": self.dropout, "prior_mu": self.prior_mu,
+                "prior_ou_theta": self.prior_ou_theta, "seed": self.seed,
+                "version": self.CHECKPOINT_VERSION}
 
     def save(self, path):
         arrays = {name: getattr(self, name).data for name in self._param_names}
@@ -188,7 +184,7 @@ class LGNSDEModel:
 
     # JSON types of the config_dict() entries but the version
     _config_types = dict(d_in=int, num_classes=int, hidden=int, steps=int,
-                         mc_samples=int, seed=int, scheme=str, t1=(int, float),
+                         seed=int, scheme=str, t1=(int, float),
                          g=(int, float), dropout=(int, float),
                          prior_mu=(int, float), prior_ou_theta=(int, float, type(None)))
 
@@ -213,6 +209,9 @@ class LGNSDEModel:
                     data, want = z[name], getattr(model, name).data.shape
                     if data.shape != want:
                         raise ValueError(f"{name} has shape {data.shape}, expected {want}")
+                    if not np.issubdtype(data.dtype, np.floating):
+                        raise ValueError(f"{name} has dtype {data.dtype}, expected a "
+                                         "real floating type")
                     getattr(model, name).data = data.astype(np.float64)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
             raise ValueError(f"unreadable checkpoint {str(path)!r}: {e}") from None

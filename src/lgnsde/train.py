@@ -107,7 +107,7 @@ def train_model(model, graph, epochs=300, patience=50, lr=0.01, seed=0,
     return log
 
 
-def test_report(model, graph, master_seed=0, mc_samples=None):
+def test_report(model, graph, mc_samples, master_seed=0):
     """EvalReport on the test mask with the model's MC predictive."""
-    probs = model.predict(graph, mc_samples=mc_samples, master_seed=master_seed)
+    probs = model.predict(graph, mc_samples, master_seed=master_seed)
     return evaluate(probs, graph.labels, graph.test_mask), probs

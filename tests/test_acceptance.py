@@ -198,7 +198,7 @@ def cora_runs():
         m = LGNSDEModel(g.d_in, g.num_classes, hidden=64, steps=16, g=1.0,
                         scheme="srk", dropout=0.2, seed=seed)
         _train_defaults(m, g, seed)
-        rep, probs = _test_report(m, g, master_seed=seed)
+        rep, probs = _test_report(m, g, 20, master_seed=seed)
         runs.append((g, rep, probs))
     return runs
 
@@ -239,7 +239,7 @@ def test_criterion_09_cora_ood():
         m = LGNSDEModel(view.d_in, view.num_classes, hidden=64, steps=16,
                         g=1.0, scheme="srk", dropout=0.2, seed=seed)
         _train_defaults(m, view, seed)
-        probs = m.predict(view, master_seed=seed)
+        probs = m.predict(view, mc_samples=20, master_seed=seed)
         test = np.asarray(view.test_mask, dtype=bool)
         rep = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
         aurocs.append(rep["auroc_ood"])

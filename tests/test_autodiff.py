@@ -268,6 +268,25 @@ class TestBackward:
             out = ad.tanh(x)
         assert not out.requires_grad and out._node is None
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 3), (3, 1)), ((3, 3), (9,)),
+                                                   ((3,), (1, 3)), ((3, 3), (1, 1, 3))])
+    def test_add_takes_only_a_row_bias(self, a_shape, b_shape):
+        # a (3, 1) column broadcasts along the rows, but the bias backward
+        # sums over them: under weights 0..8 its gradient would read
+        # [9, 12, 15], not [3, 12, 21]
+        a = Tensor(np.zeros(a_shape))
+        b = Tensor(np.ones(b_shape), requires_grad=True)
+        with pytest.raises(ValueError, match="add shape mismatch"):
+            ad.add(a, b)
+
+    @pytest.mark.parametrize("b_shape", [(3,), (1, 3)])
+    def test_row_bias_gradient_sums_the_rows(self, b_shape):
+        a = Tensor(np.zeros((3, 3)))
+        b = Tensor(np.zeros(b_shape), requires_grad=True)
+        weights = Tensor(np.arange(9.0).reshape(3, 3))
+        backward(ad.tensor_sum(ad.mul(ad.add(a, b), weights)))
+        assert np.array_equal(b.grad, np.array([9.0, 12.0, 15.0]).reshape(b_shape))
+
     def test_no_grad_in_another_thread_leaves_this_tape_on(self):
         entered, release = threading.Event(), threading.Event()
 

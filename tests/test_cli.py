@@ -11,6 +11,7 @@ from lgnsde import cli, verify
 from lgnsde.cli import main, parse_config
 from lgnsde.graphdata import SplitSpec, make_splits, save_bundle, sbm_generate
 from lgnsde.model import LGNSDEModel
+from lgnsde.train import test_report as _test_report
 from lgnsde.train import train_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -203,6 +204,8 @@ class TestExitCodes:
         ("eval", "sbm_feature_dim = 5\n", "is for 6 features"),
         ("train", "dropout = 1.5\n", "dropout must be in [0,1)"),
         ("train", "mc_samples = 0\n", "mc_samples must be >= 1"),
+        ("ood", "ood_class = 2\nmc_samples = 0\n", "mc_samples must be >= 1"),
+        ("eval", "mc_samples = 0\n", "mc_samples must be >= 1"),
         ("train", "val_mc = 0\n", "val_mc must be >= 1"),
         ("train", "epochs = -1\n", "epochs must be >= 0"),
         ("train", "sbm_feature_dim = 0\n", "feature_dim must be >= 1"),
@@ -315,25 +318,45 @@ class TestExitCodes:
             "diverged: eval: MC sample 0: integration diverged at step 0 (t = 0, "
             "max |H| = 4.74): overflow encountered in matmul"], proc.stderr
 
-    def test_version_1_checkpoint_is_one_config_error(self, tmp_path):
-        # a file of the format before t0 was dropped: version 1, with t0
+    def _rewritten_checkpoint(self, tmp_path, config=(), **arrays):
+        """A saved 6-feature model with `config` merged into its config and
+        `arrays` in place of its parameter arrays."""
         ckpt = tmp_path / "model.npz"
         LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
         with np.load(ckpt) as z:
-            arrays = dict(z)
-        config = json.loads(arrays["config"].tobytes())
-        config.update(t0=0.0, version=1)
-        arrays["config"] = np.frombuffer(json.dumps(config, sort_keys=True).encode(),
-                                         dtype=np.uint8)
-        np.savez(ckpt, **arrays)
+            saved = dict(z)
+        merged = {**json.loads(saved["config"].tobytes()), **dict(config)}
+        saved["config"] = np.frombuffer(json.dumps(merged, sort_keys=True).encode(),
+                                        dtype=np.uint8)
+        np.savez(ckpt, **{**saved, **arrays})
+        return ckpt
+
+    def _assert_unreadable(self, tmp_path, ckpt, reason):
         out = tmp_path / "out"
         proc = run_subprocess("eval", "--config", write_cfg(tmp_path), "--out", str(out),
                               "--checkpoint", str(ckpt))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            f"config error: unreadable checkpoint {str(ckpt)!r}: "
-            "unsupported checkpoint version"], proc.stderr
+            f"config error: unreadable checkpoint {str(ckpt)!r}: {reason}"], proc.stderr
         assert not out.exists()
+
+    def test_version_1_checkpoint_is_one_config_error(self, tmp_path):
+        # a file of the format before t0 was dropped: version 1, with t0
+        ckpt = self._rewritten_checkpoint(
+            tmp_path, dict(t0=0.0, mc_samples=20, version=1))
+        self._assert_unreadable(tmp_path, ckpt, "unsupported checkpoint version")
+
+    def test_version_2_checkpoint_is_one_config_error(self, tmp_path):
+        # a file of the format before mc_samples was dropped
+        ckpt = self._rewritten_checkpoint(tmp_path, dict(mc_samples=20, version=2))
+        self._assert_unreadable(tmp_path, ckpt, "unsupported checkpoint version")
+
+    def test_complex_parameters_are_one_config_error(self, tmp_path):
+        # numpy would drop the imaginary part with a ComplexWarning on stderr
+        w_dec = LGNSDEModel(d_in=6, num_classes=3, hidden=8).W_dec.data
+        ckpt = self._rewritten_checkpoint(tmp_path, W_dec=w_dec.astype(np.complex128))
+        self._assert_unreadable(tmp_path, ckpt,
+                                "W_dec has dtype complex128, expected a real floating type")
 
     @pytest.mark.parametrize("kind, message", [
         ("empty", "No data left in file"), ("truncated", ""), ("text", ""),
@@ -391,17 +414,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("change", [{"extra": 1}, {"hidden": "8"},
-                                        {"mc_samples": 2.5}, {"prior_mu": None}],
+                                        {"steps": 2.5}, {"prior_mu": None}],
                              ids=["unknown", "str-int", "float-int", "null-float"])
     def test_eval_checkpoint_with_bad_config_key(self, tmp_path, capsys, change):
-        ckpt = tmp_path / "model.npz"
-        LGNSDEModel(d_in=6, num_classes=3, hidden=8).save(ckpt)
-        with np.load(ckpt) as z:
-            arrays = dict(z)
-        cfg = json.loads(arrays["config"].tobytes())
-        cfg.update(change)
-        arrays["config"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
-        np.savez(ckpt, **arrays)
+        ckpt = self._rewritten_checkpoint(tmp_path, change)
         code, _ = run(tmp_path, "eval", "--config", write_cfg(tmp_path),
                       "--checkpoint", str(ckpt))
         err = capsys.readouterr().err.strip().splitlines()
@@ -690,6 +706,24 @@ class TestTrainEvalOod:
         a = json.loads((out / "eval.json").read_text())
         b = json.loads((out2 / "eval.json").read_text())
         assert a == b
+
+    def test_eval_predicts_with_the_configs_mc_samples(self, tmp_path):
+        # the checkpoint holds no count: a model trained with 4 paths is
+        # evaluated with the 64 its eval config asks for
+        code, out = run(tmp_path, "train", "--config", write_cfg(tmp_path))
+        assert code == 0
+        cfg64 = write_cfg(tmp_path, name="eval.cfg", extra="mc_samples = 64\n")
+        out2 = tmp_path / "out_eval"
+        assert main(["eval", "--config", cfg64, "--out", str(out2),
+                     "--checkpoint", str(out / "model.npz")]) == 0
+        run_cfg = parse_config(cfg64)
+        graph = cli.split_dataset(run_cfg, cli.load_dataset(run_cfg))
+        model = LGNSDEModel.load(out / "model.npz")
+        report, _ = _test_report(model, graph, mc_samples=64, master_seed=run_cfg.seed)
+        report.to_json(tmp_path / "want.json")
+        got = (out2 / "eval.json").read_bytes()
+        assert got == (tmp_path / "want.json").read_bytes()
+        assert got != (out / "eval.json").read_bytes()
 
     def test_ood_artifacts(self, tmp_path):
         path = write_cfg(tmp_path, extra="ood_class = 2\n")

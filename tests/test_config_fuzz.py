@@ -34,7 +34,7 @@ VALUES = ("nan", "inf", "-inf", "1e308", "100000000000000000000000", "-1", "-1e-
 def checkpoint(tmp_path_factory):
     """A model for the base config's graph, for eval."""
     path = tmp_path_factory.mktemp("fuzz") / "model.npz"
-    LGNSDEModel(d_in=4, num_classes=3, hidden=4, steps=2, mc_samples=2).save(path)
+    LGNSDEModel(d_in=4, num_classes=3, hidden=4, steps=2).save(path)
     return str(path)
 
 

@@ -282,6 +282,19 @@ class TestPredict:
         assert peak < 1.5 * steps * graph.n * hidden * 8
 
 
+class TestBuiltWithoutTape:
+    def test_model_built_in_no_grad_trains(self):
+        g = make_graph()
+        with ad.no_grad():
+            m = small_model(g)
+        initial = [p.data.copy() for p in m.parameters()]
+        log = train_model(m, g, epochs=1, patience=1, val_mc=1)
+        assert len(log.epochs) == 1 and not log.diverged
+        for p, before in zip(m.parameters(), initial):
+            assert p.grad is not None and np.isfinite(p.grad).all()
+            assert not np.array_equal(p.data, before)
+
+
 class TestCheckpoint:
     def test_round_trip_predictions(self, tmp_path):
         g = make_graph()

@@ -9,6 +9,7 @@ import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
 from lgnsde.sde import (BrownianPath, DivergedError, SDEConfig, drawn_ahead,
                         em_step, integrate, srk_step)
+from lgnsde.verify import chi2_ppf
 
 
 def const_drift(value):
@@ -284,6 +285,26 @@ class TestIntegrate:
             fd[idx] = (vals[0] - vals[1]) / (2 * eps)
         denom = np.maximum(np.abs(fd), 1e-4)
         assert (np.abs(w.grad - fd) / denom).max() < 1e-4
+
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_linear_drift_final_state_is_exactly_chi2(self, scheme):
+        # F = -a H from H(0) = 0 makes every step H' = c H + s g dW, EM with
+        # c = 1 - a dt and s = 1, SRK with c = 1 - a dt + (a dt)^2 / 2 and
+        # s = 1 - a dt / 2. So H(t1) is Gaussian with per-coordinate
+        # variance g^2 dt s^2 sum_{k<N} c^(2k), and ||H(t1)||^2 over that
+        # variance is chi^2 with one degree of freedom per coordinate
+        a, g, steps, paths = 1.5, 0.8, 16, 20_000
+        cfg = SDEConfig(t1=1.0, steps=steps, g=g, scheme=scheme)
+        ad_t = a * cfg.dt
+        c, s = (1 - ad_t, 1.0) if scheme == "em" else (1 - ad_t + ad_t ** 2 / 2,
+                                                        1 - ad_t / 2)
+        var = g * g * cfg.dt * s * s * sum(c ** (2 * k) for k in range(steps))
+        with ad.no_grad():
+            h, _ = integrate(Tensor(np.zeros((paths, 1))), lambda x, t: x * -a, None,
+                             cfg, BrownianPath(5, steps, paths, 1))
+        stat = float((h.data ** 2).sum()) / var
+        # each tail 1e-6
+        assert chi2_ppf(1e-6, paths) <= stat <= chi2_ppf(1 - 1e-6, paths)
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_observer_sees_the_states_of_shorter_runs(self, scheme):
