@@ -25,12 +25,11 @@ op writes a gradient in place.
 ``checkpoint(fn, inputs, rng)`` trades memory for time: it records a node
 that keeps only the inputs' arrays, and backward re-runs `fn` on a nested
 tape, with `rng` put back where it stood at the call so dropout draws the
-same mask. `fn` may return a tuple of Tensors: each output gets its own
-node, and one recompute serves them all. The nested tape keeps the
-forward's creation order, so when each input feeds one op in `fn` the
-gradients are bitwise those of calling `fn` on the tape. The nested pass
-runs through the private ``_backward``, so ``backward`` is called once per
-loss.
+same mask. Each output of `fn` gets its own node on the one recompute
+node. The nested tape keeps the forward's creation order, so when each
+input feeds one op in `fn` the gradients are bitwise those of calling
+`fn` on the tape. The nested pass runs through the private
+``_backward``, so ``backward`` is called once per loss.
 """
 
 import contextlib
@@ -251,6 +250,11 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def softmax_rows(a):
     s = _softmax(a.data)
 
@@ -262,9 +266,7 @@ def softmax_rows(a):
 
 
 def log_softmax_rows(a):
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out_data = z - lse
+    out_data = _log_softmax(a.data)
 
     def _bwd(g):
         s = np.exp(out_data)
@@ -280,8 +282,7 @@ def masked_cross_entropy(logits, labels, mask):
     rows = np.nonzero(mask)[0]
     if rows.size == 0:
         raise ValueError("masked_cross_entropy: mask selects no rows")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = _log_softmax(logits.data)
     nll = -logp[rows, labels[rows]].mean()
 
     def _bwd(g):
@@ -335,19 +336,20 @@ def checkpoint(fn, inputs, rng=None):
     """``fn(*inputs)`` on the tape through nodes that keep only the inputs'
     arrays.
 
-    The forward runs `fn` with the tape off. `fn` returns a Tensor, or a
-    tuple of Tensors that each get their own node. Backward rebuilds the
-    inputs as fresh leaves, puts `rng` (the generator `fn` draws from, if
-    any) back in its state at the call, re-runs `fn` once with the tape on,
-    returns the generator to where it was and back-propagates the
-    outputs' gradients through that sub-tape (an output that got none is
-    left out): the parameters `fn` closes over get their gradients there,
-    the inputs get theirs from the recompute's node. The recompute repeats
-    the forward's float ops in the same order. An input's gradient is
-    summed over `fn`'s ops before it joins those of later ops, so every
-    gradient is bitwise the one of calling `fn` on the tape when each
-    input feeds one op in `fn` (as H feeds the drift) or no op after the
-    call. With the tape off, a plain call.
+    The forward runs `fn` with the tape off. `fn` returns a Tensor or a
+    tuple of Tensors, and each output gets a node whose one parent is the
+    recompute node. Backward rebuilds the inputs as fresh leaves, puts
+    `rng` (the generator `fn` draws from, if any) back in its state at the
+    call, re-runs `fn` once with the tape on, returns the generator to
+    where it was and back-propagates the outputs' gradients through that
+    sub-tape (an output that got none is left out): the parameters `fn`
+    closes over get their gradients there, the inputs get theirs from the
+    recompute node. The recompute repeats the forward's float ops in the
+    same order. An input's gradient is summed over `fn`'s ops before it
+    joins those of later ops, so every gradient is bitwise the one of
+    calling `fn` on the tape when each input feeds one op in `fn` (as H
+    feeds the drift) or no op after the call. With the tape off, a plain
+    call.
     """
     if not _grad_enabled.get():
         return fn(*inputs)
@@ -361,8 +363,6 @@ def checkpoint(fn, inputs, rng=None):
     arrays = [(x.data, x.requires_grad) for x in inputs]
 
     def _bwd(g):
-        if single:
-            grads[0] = g
         if rng is not None:
             now, rng.bit_generator.state = rng.bit_generator.state, state
         try:
@@ -377,14 +377,11 @@ def checkpoint(fn, inputs, rng=None):
         return tuple(leaf.grad for leaf in leaves)
 
     recompute = _Node(_bwd, tuple(x._node for x in inputs))
-    if single:
-        outs[0]._node = recompute
-        return outs[0]
     for i, out in enumerate(outs):
         # newer than the recompute node, each output's node runs first: it
         # stores its whole gradient for the recompute and passes on none
         out._node = _Node(lambda g, i=i: (grads.__setitem__(i, g),), (recompute,))
-    return tuple(outs)
+    return outs[0] if single else tuple(outs)
 
 
 # ---------------------------------------------------------- sparse matrix

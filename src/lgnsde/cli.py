@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -145,10 +145,10 @@ def build_model(cfg, graph):
 @contextmanager
 def run_training(cfg, model, graph, out, name):
     """Check the configured training settings and MC count, make `out`, run
-    train_model with them, save the model to out/name and hand the RunLog
-    to the command's reports. If training diverged, one DivergedError says
-    so once the reports are made, or also names the test predict's own
-    divergence if they cannot be."""
+    train_model with them, save the model to out/name and write
+    out/runlog.json; the with body then makes the command's reports. If
+    training diverged, one DivergedError says so once the reports are made,
+    or also names the test predict's own divergence if they cannot be."""
     check_settings(cfg.epochs, cfg.patience, cfg.lr, cfg.val_mc, cfg.kl_weight)
     if cfg.mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
@@ -159,16 +159,17 @@ def run_training(cfg, model, graph, out, name):
     model.save(os.path.join(out, name))
     # the name only: keeps runlog.json byte-identical across output dirs
     log.checkpoint_path = name
-    if not log.diverged:
-        yield log
-        return
+    _write_json(os.path.join(out, "runlog.json"), asdict(log))
     stopped = (f"training stopped in epoch {len(log.epochs)}: {log.divergence}; "
                "the best parameters were kept")
     try:
-        yield log
+        yield
     except FloatingPointError as e:
+        if not log.diverged:
+            raise
         raise DivergedError(f"{stopped}; test predict: {e}") from e
-    raise DivergedError(stopped)
+    if log.diverged:
+        raise DivergedError(stopped)
 
 
 def _write_json(path, obj):
@@ -187,8 +188,7 @@ def cmd_generate(cfg, out):
 def cmd_train(cfg, out):
     graph = split_dataset(cfg, load_dataset(cfg))
     model = build_model(cfg, graph)
-    with run_training(cfg, model, graph, out, "model.npz") as log:
-        _write_json(os.path.join(out, "runlog.json"), asdict(log))
+    with run_training(cfg, model, graph, out, "model.npz"):
         report, probs = test_report(model, graph, cfg.mc_samples, master_seed=cfg.seed)
         report.to_json(os.path.join(out, "eval.json"))
         ent = entropy_rows(probs[graph.test_mask])
@@ -218,8 +218,7 @@ def cmd_ood(cfg, out):
     graph = split_dataset(cfg, load_dataset(cfg), cfg.ood_class)
     view, is_ood = ood_view(graph, cfg.ood_class)
     model = build_model(cfg, view)
-    with run_training(cfg, model, view, out, "model_ood.npz") as log:
-        _write_json(os.path.join(out, "runlog.json"), asdict(log))
+    with run_training(cfg, model, view, out, "model_ood.npz"):
         probs = model.predict(view, cfg.mc_samples, master_seed=cfg.seed)
         test = np.asarray(view.test_mask, dtype=bool)
         block = ood_evaluate(probs[test], is_ood[test], labels=view.labels[test])
@@ -283,10 +282,7 @@ def cmd_gradcheck(cfg, out):
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     graph = sbm_generate(2, 3, 0.6, 0.2, 3, 1.0, seed=cfg.seed)
     graph = make_splits(graph, SplitSpec(seed=cfg.seed, train_frac=0.34, val_frac=0.33))
-    model = LGNSDEModel(d_in=graph.d_in, num_classes=graph.num_classes,
-                        hidden=2, t1=cfg.t1, steps=4, g=cfg.g, scheme=cfg.scheme,
-                        dropout=0.0, prior_mu=cfg.prior_mu,
-                        prior_ou_theta=cfg.prior_ou_theta, seed=cfg.seed)
+    model = build_model(replace(cfg, hidden=2, steps=4, dropout=0.0), graph)
     os.makedirs(out, exist_ok=True)
     grid = model.sde_config
     path = BrownianPath(int(rng.integers(2 ** 31)), grid.steps, graph.n, model.hidden, t1=grid.t1)

@@ -165,6 +165,8 @@ def load_bundle(path):
         feats.append(row)
 
     _read_lines(nodes_path, node)
+    if not labels:
+        raise ValueError(f"{nodes_path}: no nodes")
     _read_lines(os.path.join(path, "edges.tsv"), lambda lineno, fields: edges.append(
         [int(v) for v in _pair(fields, "src<TAB>dst")]))
     n = len(labels)
@@ -224,6 +226,8 @@ def load_cora_raw(content_path, cites_path):
         label_names.append(fields[-1])
 
     _read_lines(content_path, paper)
+    if not feats:
+        raise ValueError(f"{content_path}: no nodes")
     index = {nid: i for i, nid in enumerate(line_of)}
     classes = sorted(set(label_names))
     labels = np.array([classes.index(c) for c in label_names], dtype=np.int64)

@@ -79,7 +79,7 @@ def aurc(confidences, correctness):
     return float(risks.mean())
 
 
-def ood_evaluate(probs, is_ood, labels=None):
+def ood_evaluate(probs, is_ood, labels):
     """Score the OOD protocol: entropy as the OOD signal.
 
     `probs` are over the C-1 in-distribution classes. For AURC, an OOD
@@ -93,9 +93,7 @@ def ood_evaluate(probs, is_ood, labels=None):
     ent = entropy_rows(probs)
     auroc_ood = binary_auroc(ent, is_ood)
     conf = probs.max(axis=1)
-    correct = np.zeros(is_ood.size, dtype=bool)
-    if labels is not None:
-        correct = probs.argmax(axis=1) == np.asarray(labels)
+    correct = probs.argmax(axis=1) == np.asarray(labels)
     correct[is_ood] = False
     return {"auroc_ood": auroc_ood,
             "aurc_ood": aurc(conf, correct),
@@ -121,13 +119,11 @@ class EvalReport:
         return blob
 
 
-def evaluate(probs, labels, mask=None):
-    """EvalReport over the masked rows (all rows when mask is None)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if mask is not None:
-        probs = probs[np.asarray(mask, dtype=bool)]
-        labels = labels[np.asarray(mask, dtype=bool)]
+def evaluate(probs, labels, mask):
+    """EvalReport over the rows that `mask` selects."""
+    mask = np.asarray(mask, dtype=bool)
+    probs = np.asarray(probs, dtype=np.float64)[mask]
+    labels = np.asarray(labels, dtype=np.int64)[mask]
     pred = probs.argmax(axis=1)
     correct = pred == labels
     ent = entropy_rows(probs)

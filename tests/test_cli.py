@@ -490,6 +490,9 @@ class TestExitCodes:
         # the citation once joined only the second 'a', orphaning node 0
         ("cora_raw", {"x.content": "a\t1\tml\nb\t0\tdb\na\t1\tml\n", "x.cites": "a\tb\n"},
          "x.content:3: paper id 'a' is already on line 1"),
+        # a file with no node once ended in a numpy reshape or unpack message
+        ("bundle", {"nodes.tsv": "", "edges.tsv": ""}, "nodes.tsv: no nodes"),
+        ("cora_raw", {"x.content": "\n \t\n", "x.cites": ""}, "x.content: no nodes"),
     ])
     def test_bad_data_line_is_config_error(self, tmp_path, capsys, dataset, files, message):
         d = tmp_path / "data"

@@ -104,6 +104,16 @@ class TestBundle:
         with pytest.raises(ValueError, match=r"nodes.tsv:3: node ids must be 0-based contiguous$"):
             load_bundle(d)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_no_nodes_names_the_file(self, tmp_path, text):
+        d = tmp_path / "b"
+        d.mkdir()
+        (d / "nodes.tsv").write_text(text)
+        (d / "edges.tsv").write_text("")
+        with pytest.raises(ValueError) as e:
+            load_bundle(d)
+        assert str(e.value) == f"{d / 'nodes.tsv'}: no nodes"
+
     def test_overlapping_split_lists(self, tmp_path):
         graph = sbm_generate(3, 6, 0.3, 0.03, 4, 2.0, seed=0)
         save_bundle(make_splits(graph, SplitSpec(seed=0, train_frac=0.34,
@@ -145,6 +155,12 @@ class TestCoraRaw:
         content = "a\tnotanumber\tml\n"
         with pytest.raises(ValueError, match=":1:"):
             load_cora_raw(*self._write(tmp_path, content, ""))
+
+    @pytest.mark.parametrize("content", ["", "\n \t\n"])
+    def test_no_nodes_names_the_file(self, tmp_path, content):
+        with pytest.raises(ValueError) as e:
+            load_cora_raw(*self._write(tmp_path, content, ""))
+        assert str(e.value) == f"{tmp_path / 'x.content'}: no nodes"
 
     def test_repeated_paper_id(self, tmp_path):
         # the citation once joined only the second 'a', orphaning node 0

@@ -157,14 +157,14 @@ class TestOODEvaluate:
     def test_indistinguishable_half(self):
         probs = np.full((6, 3), 1 / 3)
         is_ood = np.array([False, True] * 3)
-        rep = ood_evaluate(probs, is_ood)
+        rep = ood_evaluate(probs, is_ood, labels=np.zeros(6, dtype=int))
         assert rep["auroc_ood"] == 0.5
 
     def test_six_row_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(3))
         probs = rng.dirichlet(np.ones(3), size=6)
         is_ood = np.array([0, 1, 0, 1, 1, 0], dtype=bool)
-        rep = ood_evaluate(probs, is_ood)
+        rep = ood_evaluate(probs, is_ood, labels=np.zeros(6, dtype=int))
         ent = entropy_rows(probs)
         assert rep["auroc_ood"] == pytest.approx(
             pair_count_auroc(ent, is_ood.astype(int)), abs=1e-12)
@@ -175,16 +175,16 @@ class TestOODEvaluate:
         probs = np.array([[0.9, 0.1], [0.7, 0.3], [0.6, 0.4], [0.5, 0.5]])
         is_ood = np.array([False, False, True, True])
         labels = np.zeros(4, dtype=int)
-        a = ood_evaluate(probs, is_ood)["auroc_ood"]
+        a = ood_evaluate(probs, is_ood, labels)["auroc_ood"]
         sharp = probs ** 2
         sharp /= sharp.sum(axis=1, keepdims=True)
-        b = ood_evaluate(sharp, is_ood)["auroc_ood"]
+        b = ood_evaluate(sharp, is_ood, labels)["auroc_ood"]
         assert a == b
 
     def test_requires_both_groups(self):
         probs = np.full((3, 2), 0.5)
         with pytest.raises(ValueError):
-            ood_evaluate(probs, np.array([True, True, True]))
+            ood_evaluate(probs, np.array([True, True, True]), np.zeros(3, dtype=int))
 
 
 class TestEvaluateAndReports:
@@ -198,13 +198,13 @@ class TestEvaluateAndReports:
 
     def test_accuracy(self):
         probs, labels = self._toy()
-        rep = evaluate(probs, labels)
+        rep = evaluate(probs, labels, np.ones(4, dtype=bool))
         assert rep.accuracy == pytest.approx(0.75)
 
     def test_json_round_trip_sorted(self):
         import json
         probs, labels = self._toy()
-        rep = evaluate(probs, labels)
+        rep = evaluate(probs, labels, np.ones(4, dtype=bool))
         text = rep.to_json()
         obj = json.loads(text)
         assert list(obj.keys()) == sorted(obj.keys())

@@ -442,32 +442,40 @@ class TestRecompute:
         return calls
 
     @staticmethod
-    def first_call_nodes(drifts):
+    def recompute_node(*outs):
+        """The recompute node of one checkpoint call, checking that each
+        output has a node of its own whose one parent is that node."""
+        (node,) = outs[0]._node.parents
+        for out in outs:
+            assert out._node is not node and out._node.parents == (node,)
+        return node
+
+    @classmethod
+    def first_call_nodes(cls, drifts):
         """Yield (H, prior, recompute node) of each step's first drift call,
         checking that it read (H, prior) and that both its outputs, the
         drift and the KL term, are nodes on one recompute node."""
         assert [len(inputs) for inputs, _ in drifts] == [2, 1] * 3
         for (h, prior), (f, kl) in drifts[0::2]:
-            node = f._node.parents[0]
-            assert f._node.parents == kl._node.parents == (node,)
             assert h._node is not None
-            yield h, prior, node
+            yield h, prior, cls.recompute_node(f, kl)
 
     def test_drift_and_encoder_are_single_nodes(self, monkeypatch):
-        # inside a taped integrate each drift call is one checkpoint node.
-        # A step's first call reads (H, prior) and returns its KL term too;
-        # the constant prior is a zero-stride view with no node, so the
-        # recompute node's parents are (H's node, None). The step's second
-        # call reads only its state
+        # inside a taped integrate each drift call is one recompute node,
+        # and each of its outputs a node on it. The encoder reads no input,
+        # so its recompute node has no parent. A step's first call reads
+        # (H, prior) and returns its KL term too; the constant prior is a
+        # zero-stride view with no node, so the recompute node's parents
+        # are (H's node, None). The step's second call reads only its state
         (inputs, encoded), *drifts = self.checkpoint_calls(monkeypatch, None)
-        assert inputs == () and encoded._node.parents == ()
+        assert inputs == () and self.recompute_node(encoded).parents == ()
         assert [isinstance(out, tuple) for _, out in drifts] == [True, False] * 3
         for h, prior, node in self.first_call_nodes(drifts):
             assert prior._node is None and prior.data.strides == (0, 0)
             assert np.all(prior.data == 0.3)
             assert node.parents == (h._node, None)
         for (h,), out in drifts[1::2]:
-            assert h._node is not None and out._node.parents == (h._node,)
+            assert h._node is not None and self.recompute_node(out).parents == (h._node,)
 
     def test_ou_prior_is_the_second_parent(self, monkeypatch):
         # the OU prior -theta H is on the tape: its node is the recompute

@@ -292,19 +292,38 @@ class TestIntegrate:
         # c = 1 - a dt and s = 1, SRK with c = 1 - a dt + (a dt)^2 / 2 and
         # s = 1 - a dt / 2. So H(t1) is Gaussian with per-coordinate
         # variance g^2 dt s^2 sum_{k<N} c^(2k), and ||H(t1)||^2 over that
-        # variance is chi^2 with one degree of freedom per coordinate
-        a, g, steps, paths = 1.5, 0.8, 16, 20_000
+        # variance is chi^2 with one degree of freedom per coordinate. The
+        # prior -b H does not move the state
+        a, b, g, steps, paths = 1.5, 0.5, 0.8, 16, 20_000
         cfg = SDEConfig(t1=1.0, steps=steps, g=g, scheme=scheme)
-        ad_t = a * cfg.dt
+        dt = cfg.dt
+        ad_t = a * dt
         c, s = (1 - ad_t, 1.0) if scheme == "em" else (1 - ad_t + ad_t ** 2 / 2,
                                                         1 - ad_t / 2)
-        var = g * g * cfg.dt * s * s * sum(c ** (2 * k) for k in range(steps))
+        var = g * g * dt * s * s * sum(c ** (2 * k) for k in range(steps))
         with ad.no_grad():
-            h, _ = integrate(Tensor(np.zeros((paths, 1))), lambda x, t: x * -a, None,
-                             cfg, BrownianPath(5, steps, paths, 1))
+            h, kl = integrate(Tensor(np.zeros((paths, 1))), lambda x, t: x * -a,
+                              lambda x, t: x * -b, cfg, BrownianPath(5, steps, paths, 1))
         stat = float((h.data ** 2).sum()) / var
         # each tail 1e-6
         assert chi2_ppf(1e-6, paths) <= stat <= chi2_ppf(1 - 1e-6, paths)
+        # the left-endpoint KL is w sum_{j<N} ||H_j||^2, w = (((a - b) / g)^2 / 2) dt.
+        # Per coordinate (H_0 .. H_{N-1}) = L z for N standard normals z, with
+        # L[j, k] = s g sqrt(dt) c^(j-1-k) for k < j, so the KL is a sum of
+        # paths copies of z^T (w L^T L) z: weighted chi^2 with the
+        # eigenvalues lam of w L^T L as weights, each repeated once per path.
+        # Its mean is exact, and Laurent & Massart (Ann. Statist. 2000,
+        # Lemma 1) bound each tail by delta / 2
+        w = 0.5 * ((a - b) / g) ** 2 * dt
+        mean = sum(w * paths * g * g * dt * s * s * sum(c ** (2 * k) for k in range(j))
+                   for j in range(steps))
+        j, k = np.indices((steps, steps))
+        L = np.where(k < j, s * g * np.sqrt(dt) * c ** (j - 1.0 - k), 0.0)
+        lam = np.linalg.eigvalsh(w * L.T @ L)
+        assert lam.sum() * paths == pytest.approx(mean, rel=1e-12)
+        x = np.log(2 / 1e-6)
+        spread = 2 * np.sqrt(paths) * np.linalg.norm(lam) * np.sqrt(x)
+        assert mean - spread <= float(kl.data) <= mean + spread + 2 * lam.max() * x
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_observer_sees_the_states_of_shorter_runs(self, scheme):
