@@ -26,7 +26,9 @@ log = train_model(model, graph, epochs=80, patience=80, lr=0.01, seed=seed,
 print(f"best val acc {log.best_val_acc:.3f} at epoch {log.best_epoch}")
 
 print("\n== test-time uncertainty ==")
-probs = model.predict(graph, mc_samples=20, master_seed=seed)
+# the mean over the MC samples, and the samples themselves for their spread
+probs, samples = model.predict(graph, mc_samples=20, master_seed=seed,
+                               return_samples=True)
 test = graph.test_mask
 report = evaluate(probs, graph.labels, test)
 print(f"test accuracy   {report.accuracy:.3f}")
@@ -40,7 +42,5 @@ print(f"mean entropy: correct {ent[correct].mean():.3f}  "
       else f"mean entropy (all correct): {ent.mean():.3f}")
 
 # the MC spread itself carries signal: per-node disagreement across samples
-_, samples = model.predict(graph, mc_samples=20, master_seed=seed,
-                           return_samples=True)
 spread = samples.std(axis=0).mean(axis=1)[test]
 print(f"MC std, most / least certain node: {spread.min():.4f} / {spread.max():.4f}")

@@ -132,11 +132,13 @@ class LGNSDEModel:
 
         Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
         draw: ``drawn_ahead`` draws its (n, hidden) steps one at a time
-        from one ``PCG64(seeds[i])`` on its helper thread, into a ring of
-        `steps` buffers, one path long. The helper stays up to steps - 1
-        draws ahead of the solver, so the next sample's steps go into the
-        buffers the current one has finished with. A DivergedError names
-        its ``sample`` i, and its message starts ``MC sample i: ``."""
+        from one ``PCG64(seeds[i])`` on its helper thread, each while the
+        solver integrates the step before, into a pair of step buffers. So
+        two steps of noise are live whatever the step count, and sample
+        i + 1's first step is drawn while sample i's last integrates. A
+        DivergedError names its ``sample`` i, and its message starts
+        ``MC sample i: ``. With `return_samples`, the per-sample
+        probabilities come back too, as one (mc_samples, n, classes) array."""
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
         cfg = self.sde_config
@@ -144,9 +146,10 @@ class LGNSDEModel:
         rngs = itertools.chain.from_iterable(
             itertools.repeat(np.random.Generator(np.random.PCG64(int(s))), cfg.steps)
             for s in seeds)
-        samples = []
-        with no_grad(), drawn_ahead(rngs, (graph.n, self.hidden), cfg.dt,
-                                    buffers=cfg.steps) as stream:
+        # one block for every sample: per-sample arrays kept in a list let
+        # glibc trim and regrow the heap under the solver every other sample
+        samples = np.empty((mc_samples, graph.n, self.num_classes))
+        with no_grad(), drawn_ahead(rngs, (graph.n, self.hidden), cfg.dt) as stream:
             h0 = self.encode(graph)
             drift = self.posterior_drift_fn(graph)
             for i in range(mc_samples):
@@ -156,11 +159,10 @@ class LGNSDEModel:
                     e.sample = i
                     e.args = (f"MC sample {i}: {e}",)
                     raise
-                samples.append(ad.softmax_rows(self.decode(h)).data)
-        stacked = np.stack(samples)
-        mean = stacked.mean(axis=0)
+                samples[i] = ad.softmax_rows(self.decode(h)).data
+        mean = samples.mean(axis=0)
         if return_samples:
-            return mean, stacked
+            return mean, samples
         return mean
 
     # ------------------------------------------------------- checkpointing

@@ -7,7 +7,6 @@ drift call is one ``autodiff.checkpoint`` node, recomputed in backward.
 """
 
 import itertools
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -85,25 +84,25 @@ class BrownianPath:
 
 
 @contextmanager
-def drawn_ahead(rngs, shape, dt, buffers=2):
+def drawn_ahead(rngs, shape, dt):
     """Iterate over one `shape` array of N(0, dt) draws per rng in `rngs`,
-    each drawn while the caller works on the ones before it.
+    each drawn while the caller works on the one before it.
 
     One helper thread fills each array with ``standard_normal(out=...)``
     and ``*= sqrt(dt)``, bit-identical to ``standard_normal(shape) *
-    sqrt(dt)``. The arrays take turns in a ring of `buffers` buffers: the
-    first ``buffers - 1`` draws are queued on entry, and each request for
-    the next array queues one more into the buffer the caller gave back,
-    so at most ``buffers - 1`` draws are queued ahead of the array the
-    caller holds. Array i is overwritten once array i+1 is requested: use
-    each array before asking for the next. The caller's thread takes each
-    rng from `rngs` and allocates the buffers, so no memory is freed into
-    the helper's malloc arena. The helper calls numpy only: it touches no
+    sqrt(dt)``. The arrays take turns in a pair of buffers: the first
+    draw is queued on entry, and each request for the next array queues
+    one more into the buffer the caller gave back, so one draw at most is
+    queued ahead of the array the caller holds, whatever the stream's
+    length. Array i is overwritten once array i+1 is requested: use each
+    array before asking for the next. The caller's thread takes each rng
+    from `rngs` and allocates the buffers, so no memory is freed into the
+    helper's malloc arena. The helper calls numpy only: it touches no
     Tensor and calls nothing a tracer may wrap. numpy keeps
     ``np.errstate`` per thread context, so the helper runs under the
     caller's settings, copied on entry; an error raised there is raised by
     the iterator. When the ``with`` block ends, also in an exception, the
-    queued draws are cancelled and the thread is joined.
+    queued draw is cancelled and the thread is joined.
     """
     scale = np.sqrt(dt)
     err = np.geterr()
@@ -117,26 +116,22 @@ def drawn_ahead(rngs, shape, dt, buffers=2):
     helper = ThreadPoolExecutor(max_workers=1)
     try:
         rngs = iter(rngs)
-        # all buffers in one block: a large one is mapped and unmapped
+        # both buffers in one block: a large one is mapped and unmapped
         # whole, so it leaves no hole in the heap (two blocks, or one per
         # draw, raised the peak RSS of some benchmark runs by 2-8%)
-        ring = itertools.cycle(np.empty((buffers, *shape)))
-        queued = deque()
+        pair = itertools.cycle(np.empty((2, *shape)))
 
         def submit():
             rng = next(rngs, None)
-            if rng is not None:
-                queued.append(helper.submit(fill, rng, next(ring)))
+            return None if rng is None else helper.submit(fill, rng, next(pair))
 
-        def draws():
-            submit()
-            while queued:
-                yield queued.popleft().result()
-                submit()  # into the buffer the caller just gave back
+        def draws(pending):
+            while pending is not None:
+                # the next draw goes into the buffer the caller just gave back
+                ready, pending = pending, submit()
+                yield ready.result()
 
-        for _ in range(buffers - 1):
-            submit()
-        yield draws()
+        yield draws(submit())
     finally:
         helper.shutdown(cancel_futures=True)
 

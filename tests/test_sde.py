@@ -60,30 +60,39 @@ class TestBrownianPath:
 
 
 class TestDrawnAhead:
-    SEEDS, STEPS, SHAPE, DT = (3, 8, 21), 4, (5, 2), 0.3
+    SEEDS, SHAPE, DT = (3, 8, 21), (5, 2), 0.3
 
-    def rngs(self):
-        """One generator per seed, each repeated for its STEPS draws."""
-        gens = [np.random.Generator(np.random.PCG64(s)) for s in self.SEEDS]
+    def rngs(self, steps, seeds=SEEDS):
+        """One generator per seed, each repeated for its `steps` draws, as
+        predict streams them."""
+        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         return gens, itertools.chain.from_iterable(
-            itertools.repeat(g, self.STEPS) for g in gens)
+            itertools.repeat(g, steps) for g in gens)
 
-    # 1 and STEPS are predict's ring at steps = 1 and 4; 13 > 12 rngs
-    @pytest.mark.parametrize("buffers", [1, 2, 3, STEPS, 13])
-    def test_stream_equals_sequential_draws(self, buffers):
-        gens, rngs = self.rngs()
-        with drawn_ahead(rngs, self.SHAPE, self.DT, buffers=buffers) as stream:
+    def check_stream(self, steps, seeds):
+        gens, rngs = self.rngs(steps, seeds)
+        with drawn_ahead(rngs, self.SHAPE, self.DT) as stream:
             drawn = [dw.copy() for dw in stream]
-        refs = [np.random.Generator(np.random.PCG64(s)) for s in self.SEEDS]
+        refs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         want = [r.standard_normal(self.SHAPE) * np.sqrt(self.DT)
-                for r in refs for _ in range(self.STEPS)]
+                for r in refs for _ in range(steps)]
         assert len(drawn) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
         assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
 
-    @pytest.mark.parametrize("buffers", [1, 2, 3, STEPS, 13])
-    def test_rngs_are_taken_at_most_buffers_minus_one_ahead(self, buffers):
-        _, rngs = self.rngs()
+    # steps per sample: shorter than, as long as and longer than the pair
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 13])
+    def test_stream_equals_sequential_draws(self, steps):
+        self.check_stream(steps, self.SEEDS)
+
+    @pytest.mark.parametrize("seeds", [(), (8,)], ids=["none", "one"])
+    def test_stream_of_one_rng_or_none_equals_sequential_draws(self, seeds):
+        self.check_stream(1, seeds)
+
+    # two buffers, one held by the caller: exactly one rng is taken ahead
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 13])
+    def test_rngs_are_taken_at_most_buffers_minus_one_ahead(self, steps):
+        _, rngs = self.rngs(steps)
         taken = []
 
         def counted():
@@ -91,20 +100,20 @@ class TestDrawnAhead:
                 taken.append(threading.current_thread())
                 yield rng
 
-        total = len(self.SEEDS) * self.STEPS
-        with drawn_ahead(counted(), self.SHAPE, self.DT, buffers=buffers) as stream:
-            assert len(taken) == min(buffers - 1, total)
+        total = len(self.SEEDS) * steps
+        with drawn_ahead(counted(), self.SHAPE, self.DT) as stream:
+            assert len(taken) == 1
             for received, _ in enumerate(stream, 1):
-                assert len(taken) == min(received + buffers - 1, total)
+                assert len(taken) == min(received + 1, total)
         # the caller's thread takes every rng
         assert set(taken) == {threading.current_thread()}
 
-    @pytest.mark.parametrize("buffers", [2, STEPS])
-    def test_no_thread_outlives_a_raising_consumer(self, buffers):
-        _, rngs = self.rngs()
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_no_thread_outlives_a_raising_consumer(self, steps):
+        _, rngs = self.rngs(steps)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="consumer failed"):
-            with drawn_ahead(rngs, self.SHAPE, self.DT, buffers=buffers) as stream:
+            with drawn_ahead(rngs, self.SHAPE, self.DT) as stream:
                 for received, _ in enumerate(stream, 1):
                     if received == 2:
                         raise RuntimeError("consumer failed")
