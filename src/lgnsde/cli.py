@@ -173,9 +173,11 @@ def run_training(cfg, model, graph, out, name):
 
 
 def _write_json(path, obj):
+    """Write obj as sorted, indented JSON; return the text less its newline."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
+    return text
 
 
 def cmd_generate(cfg, out):
@@ -190,13 +192,13 @@ def cmd_train(cfg, out):
     model = build_model(cfg, graph)
     with run_training(cfg, model, graph, out, "model.npz"):
         report, probs = test_report(model, graph, cfg.mc_samples, master_seed=cfg.seed)
-        report.to_json(os.path.join(out, "eval.json"))
+        text = _write_json(os.path.join(out, "eval.json"), asdict(report))
         ent = entropy_rows(probs[graph.test_mask])
         correct = probs[graph.test_mask].argmax(axis=1) == graph.labels[graph.test_mask]
         entropy_histogram_csv(os.path.join(out, "entropy_hist.csv"),
                               ent[correct], ent[~correct],
                               label_a="correct", label_b="incorrect")
-        print(report.to_json())
+        print(text)
 
 
 def cmd_eval(cfg, out, checkpoint):
@@ -208,8 +210,7 @@ def cmd_eval(cfg, out, checkpoint):
                          f"{graph.d_in} and {graph.num_classes}")
     report, _ = test_report(model, graph, cfg.mc_samples, master_seed=cfg.seed)
     os.makedirs(out, exist_ok=True)
-    report.to_json(os.path.join(out, "eval.json"))
-    print(report.to_json())
+    print(_write_json(os.path.join(out, "eval.json"), asdict(report)))
 
 
 def cmd_ood(cfg, out):
@@ -225,12 +226,12 @@ def cmd_ood(cfg, out):
         in_test = test & ~is_ood
         report = evaluate(probs, view.labels, in_test)
         report.ood = block
-        report.to_json(os.path.join(out, "ood.json"))
+        text = _write_json(os.path.join(out, "ood.json"), asdict(report))
         ent = entropy_rows(probs[test])
         entropy_histogram_csv(os.path.join(out, "ood_entropy_hist.csv"),
                               ent[~is_ood[test]], ent[is_ood[test]],
                               label_a="in", label_b="ood")
-        print(report.to_json())
+        print(text)
 
 
 def _raise_first_failure(l1, l1z, l2, resnet_dev):
@@ -273,8 +274,7 @@ def cmd_verify(cfg, out):
                "lemma2_pass": l2["pass"], "resnet_max_abs_deviation": resnet_dev,
                "resnet_pass": resnet_dev < 1e-12,
                "lipschitz": {"L_f": l2["L_f"], "L_h": l1["L_h"]}}
-    _write_json(os.path.join(out, "verify_summary.json"), summary)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(_write_json(os.path.join(out, "verify_summary.json"), summary))
     _raise_first_failure(l1, l1z, l2, resnet_dev)
 
 
@@ -329,6 +329,8 @@ def main(argv=None):
             cfg = parse_config(args.config)
             if args.seed is not None:
                 cfg.seed = args.seed
+            if cfg.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {cfg.seed}")
             out = args.out or cfg.out_dir
             if args.command == "eval":
                 cmd_eval(cfg, out, args.checkpoint)

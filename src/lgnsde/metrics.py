@@ -7,8 +7,7 @@ selective risk with confidence = max predicted probability.
 """
 
 import csv
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,13 +109,6 @@ class EvalReport:
     mean_entropy_incorrect: float
     ood: dict = field(default=None)
     confidence_convention: str = "max_softmax"
-
-    def to_json(self, path=None):
-        blob = json.dumps(asdict(self), sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(blob + "\n")
-        return blob
 
 
 def evaluate(probs, labels, mask):

@@ -135,8 +135,9 @@ class LGNSDEModel:
         from one ``PCG64(seeds[i])`` on its helper thread, each while the
         solver integrates the step before, into a pair of step buffers. So
         two steps of noise are live whatever the step count, and sample
-        i + 1's first step is drawn while sample i's last integrates. A
-        DivergedError names its ``sample`` i, and its message starts
+        i + 1's first step is drawn while sample i's last integrates. An
+        overflow or NaN in sample i, in its solve, decoder or softmax, is a
+        DivergedError that names its ``sample`` i, and its message starts
         ``MC sample i: ``. With `return_samples`, the per-sample
         probabilities come back too, as one (mc_samples, n, classes) array."""
         if mc_samples < 1:
@@ -155,11 +156,12 @@ class LGNSDEModel:
             for i in range(mc_samples):
                 try:
                     h, _ = integrate(h0, drift, None, cfg, itertools.islice(stream, cfg.steps))
-                except DivergedError as e:
-                    e.sample = i
-                    e.args = (f"MC sample {i}: {e}",)
-                    raise
-                samples[i] = ad.softmax_rows(self.decode(h)).data
+                    samples[i] = ad.softmax_rows(self.decode(h)).data
+                except FloatingPointError as e:
+                    err = e if isinstance(e, DivergedError) else DivergedError(str(e))
+                    err.sample = i
+                    err.args = (f"MC sample {i}: {e}",)
+                    raise err
         mean = samples.mean(axis=0)
         if return_samples:
             return mean, samples

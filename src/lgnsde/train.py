@@ -39,8 +39,8 @@ def check_settings(epochs, patience, lr, val_mc, kl_weight):
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if patience < 0:
         raise ValueError(f"patience must be >= 0, got {patience}")
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if val_mc < 1:
         raise ValueError(f"val_mc must be >= 1, got {val_mc}")
     if kl_weight is not None and not 0 <= kl_weight < np.inf:

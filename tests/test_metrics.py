@@ -1,9 +1,12 @@
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from lgnsde.cli import _write_json
 from lgnsde.metrics import (aurc, binary_auroc, entropy_histogram_csv,
                             entropy_rows, evaluate, micro_auroc, midranks,
                             ood_evaluate)
@@ -201,11 +204,12 @@ class TestEvaluateAndReports:
         rep = evaluate(probs, labels, np.ones(4, dtype=bool))
         assert rep.accuracy == pytest.approx(0.75)
 
-    def test_json_round_trip_sorted(self):
-        import json
+    def test_json_round_trip_sorted(self, tmp_path):
+        # a report is plain data; the commands write it through one writer
         probs, labels = self._toy()
         rep = evaluate(probs, labels, np.ones(4, dtype=bool))
-        text = rep.to_json()
+        text = _write_json(tmp_path / "eval.json", asdict(rep))
+        assert (tmp_path / "eval.json").read_text() == text + "\n"
         obj = json.loads(text)
         assert list(obj.keys()) == sorted(obj.keys())
         assert obj["accuracy"] == pytest.approx(0.75)

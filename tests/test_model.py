@@ -269,6 +269,17 @@ class TestPredict:
         assert (e.value.sample, e.value.step, e.value.t) == (1, 1, 0.25)
         assert isinstance(e.value.max_abs_h, float) and np.isfinite(e.value.max_abs_h)
 
+    def test_decoder_overflow_names_its_sample(self):
+        # every solve is finite; the decoder product of sample 0 overflows
+        g = make_graph()
+        m = small_model(g)
+        m.W_dec.data = np.where(m.W_dec.data < 0, -1e308, 1e308)
+        with np.errstate(all="raise"), pytest.raises(
+                DivergedError, match=r"^MC sample 0: overflow encountered in matmul$") as e:
+            m.predict(g, mc_samples=3)
+        assert e.value.sample == 0
+        assert (e.value.step, e.value.t, e.value.max_abs_h) == (None, None, None)
+
     def test_noise_peak_does_not_grow_with_steps(self):
         # the noise takes turns in a pair of step buffers, so 56 more steps
         # add less than one state-sized buffer to the traced peak (a ring
