@@ -24,11 +24,12 @@ op writes a gradient in place.
 
 ``checkpoint(fn, inputs, rng)`` trades memory for time: it records a node
 that keeps only the inputs' arrays, and backward re-runs `fn` on a nested
-tape, with `rng` put back where it stood at the call so dropout draws the
-same mask. Each output of `fn` gets its own node on the one recompute
-node. The nested tape keeps the forward's creation order, so when each
-input feeds one op in `fn` the gradients are bitwise those of calling
-`fn` on the tape. The nested pass runs through the private
+tape, with `rng` (a generator or a tuple of them) put back where it stood
+at the call so dropout draws the same mask and a solver step the same
+Brownian increment. Each output of `fn` gets its own node on the one
+recompute node. The nested tape keeps the forward's creation order, so
+when each input feeds one op in `fn` the gradients are bitwise those of
+calling `fn` on the tape. The nested pass runs through the private
 ``_backward``, so ``backward`` is called once per loss.
 """
 
@@ -339,21 +340,22 @@ def checkpoint(fn, inputs, rng=None):
     The forward runs `fn` with the tape off. `fn` returns a Tensor or a
     tuple of Tensors, and each output gets a node whose one parent is the
     recompute node. Backward rebuilds the inputs as fresh leaves, puts
-    `rng` (the generator `fn` draws from, if any) back in its state at the
-    call, re-runs `fn` once with the tape on, returns the generator to
-    where it was and back-propagates the outputs' gradients through that
-    sub-tape (an output that got none is left out): the parameters `fn`
-    closes over get their gradients there, the inputs get theirs from the
-    recompute node. The recompute repeats the forward's float ops in the
-    same order. An input's gradient is summed over `fn`'s ops before it
-    joins those of later ops, so every gradient is bitwise the one of
-    calling `fn` on the tape when each input feeds one op in `fn` (as H
-    feeds the drift) or no op after the call. With the tape off, a plain
-    call.
+    `rng` (the generator `fn` draws from, or a tuple of them, if any) back
+    in its state at the call, re-runs `fn` once with the tape on, returns
+    each generator to where it was and back-propagates the outputs'
+    gradients through that sub-tape (an output that got none is left out):
+    the parameters `fn` closes over get their gradients there, the inputs
+    get theirs from the recompute node. The recompute repeats the
+    forward's float ops in the same order. An input's gradient is summed
+    over `fn`'s ops before it joins those of later ops, so every gradient
+    is bitwise the one of calling `fn` on the tape when each input feeds
+    one op in `fn` or no op after the call (as a solver step's state
+    does). With the tape off, a plain call.
     """
     if not _grad_enabled.get():
         return fn(*inputs)
-    state = None if rng is None else rng.bit_generator.state
+    rngs = rng if isinstance(rng, tuple) else () if rng is None else (rng,)
+    states = [r.bit_generator.state for r in rngs]
     with no_grad():
         result = fn(*inputs)
     single = isinstance(result, Tensor)
@@ -363,15 +365,16 @@ def checkpoint(fn, inputs, rng=None):
     arrays = [(x.data, x.requires_grad) for x in inputs]
 
     def _bwd(g):
-        if rng is not None:
-            now, rng.bit_generator.state = rng.bit_generator.state, state
+        now = [r.bit_generator.state for r in rngs]
+        for r, state in zip(rngs, states):
+            r.bit_generator.state = state
         try:
             with _recording(True):
                 leaves = [Tensor(data, requires_grad=rg) for data, rg in arrays]
                 sub = fn(*leaves)
         finally:
-            if rng is not None:
-                rng.bit_generator.state = now
+            for r, state in zip(rngs, now):
+                r.bit_generator.state = state
         _backward([(s._node, gs) for s, gs in zip((sub,) if single else sub, grads)
                    if s._node is not None and gs is not None])
         return tuple(leaf.grad for leaf in leaves)

@@ -79,8 +79,9 @@ class LGNSDEModel:
         as (n*B, hidden) (see ``autodiff.spmm``). Training, prediction and
         the verification harness all run this one closure; dropout on the
         hidden layer applies only when an rng is passed. The closure is the
-        plain drift: ``integrate``, given the same rng, makes each call one
-        ``checkpoint`` node, so backward draws the same mask again.
+        plain drift: ``integrate``, given the same rng, runs each solver
+        step's calls inside one ``checkpoint`` node, so backward draws the
+        same masks again.
         """
         adj = graph.norm_adj
 
@@ -96,7 +97,8 @@ class LGNSDEModel:
 
     def prior_drift(self, h, t):
         """-theta * H when an OU rate is configured, else the constant mu as
-        a zero-stride view shaped like H, which ``integrate`` keeps for free."""
+        a zero-stride view shaped like H. ``integrate`` evaluates it inside
+        each step's checkpoint, so the tape keeps neither."""
         if self.prior_ou_theta is not None:
             return h * (-self.prior_ou_theta)
         return Tensor(np.broadcast_to(self.prior_mu, h.data.shape))
@@ -109,6 +111,9 @@ class LGNSDEModel:
 
         The NLL sums over the train nodes at H(t1). With an rng, dropout is
         on; without one the objective is deterministic given the path.
+        Given a ``BrownianPath``, each solver step draws its increment
+        inside its checkpoint and backward draws it again, so the tape
+        keeps one state per solver step, whatever the scheme or prior.
         The raw pathwise KL sums over every latent coordinate, which at
         small train-set sizes swamps the likelihood and drives the drift to
         zero; the default weight 1/(n*hidden) charges the KL per latent

@@ -3,9 +3,10 @@
 The solver is unrolled (discretize-then-optimize): every step is recorded
 on the autodiff tape, so gradients of the accumulated KL and of any
 function of the final state flow back into the drift parameters. Each
-drift call is one ``autodiff.checkpoint`` node, recomputed in backward.
+solver step is one ``autodiff.checkpoint`` node, recomputed in backward.
 """
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -61,12 +62,13 @@ class BrownianPath:
     """Seeded Wiener increments: `steps` (n, d) arrays of N(0, dt) draws.
 
     The path keeps its seed, not its draws. Iterating it draws the steps
-    one at a time from a fresh ``PCG64(seed)``, each as
+    one at a time with ``draw`` from a fresh ``PCG64(seed)``, each as
     ``standard_normal((n, d))`` then ``*= sqrt(dt)``. The sampler buffers
     nothing between calls, so step j is bitwise the j-th slice of one
     ``standard_normal((steps, n, d)) * sqrt(dt)`` draw, and every iteration
-    yields the same steps. So ``integrate`` holds one step of noise at a
-    time, and a training step never holds the whole path.
+    yields the same steps. ``integrate`` draws each step through ``draw``
+    too, inside the step's checkpoint, so a training step keeps no noise
+    on the tape: backward draws the step again.
     """
 
     def __init__(self, seed, steps, n, d, t0=0.0, t1=1.0):
@@ -75,12 +77,17 @@ class BrownianPath:
         self.shape = (n, d)
         self.scale = np.sqrt((t1 - t0) / steps)
 
+    def draw(self, rng):
+        """The next step of the path from `rng`, a ``PCG64(seed)`` generator
+        that has drawn the steps before it."""
+        dw = rng.standard_normal(self.shape)
+        dw *= self.scale
+        return dw
+
     def __iter__(self):
         rng = np.random.Generator(np.random.PCG64(self.seed))
         for _ in range(self.steps):
-            dw = rng.standard_normal(self.shape)
-            dw *= self.scale
-            yield dw
+            yield self.draw(rng)
 
 
 @contextmanager
@@ -167,12 +174,13 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     """Advance h0 with the posterior drift driven by the Wiener
     `increments`; return (H(t1), KL).
 
-    `increments` is any iterable of exactly ``config.steps`` arrays shaped
-    like the state, read one step at a time: a (steps, n, d) array, a
-    ``BrownianPath``, or a stream such as ``drawn_ahead`` yields. Step j is
-    done with its array before the next is requested, so a stream may reuse
-    its buffers. Too few or too many steps, or a step of the wrong shape,
-    is a ValueError.
+    `increments` is a ``BrownianPath`` of ``config.steps`` steps shaped
+    like the state, or any iterable of exactly that many arrays, read one
+    step at a time: a (steps, n, d) array, or a stream such as
+    ``drawn_ahead`` yields. Step j is done with its array before the next
+    is requested, so with the tape off a stream may reuse its buffers.
+    Too few or too many steps, or a step of the wrong shape, is a
+    ValueError.
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
@@ -180,16 +188,18 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     not computed and is None.
 
     The solve starts at time 0, so step j starts at t = j dt. On the tape
-    each drift call is one ``checkpoint`` node that keeps only its inputs;
-    `rng` is the generator the drift draws dropout from, if any. A step's
-    first call takes (H, F_prior(H, t)) and returns its KL term too, so
-    backward recomputes F_post - F_prior rather than keeping it: an SRK
-    step keeps two state-sized buffers (H and the second call's input),
-    an EM step one, and an OU prior -theta H one more; a constant prior
-    is a zero-stride view and keeps none. The prior is evaluated outside
-    the checkpoint, so its part of H's gradient is summed in the order of
-    the full unroll, and the gradients are bitwise those of the same ops
-    all on the tape. With the tape off, each drift is a plain call.
+    each solver step is one ``checkpoint`` node whose one array input is
+    the state H_j: the step evaluates the prior, the scheme's drift calls,
+    the KL term and the update, and returns (H_{j+1}, KL_j), so backward
+    recomputes them all. A ``BrownianPath`` step draws its increment
+    inside the node from a ``PCG64(seed)`` generator of its own, which the
+    checkpoint puts back with `rng` (the generator the drift draws dropout
+    from, if any), so backward draws the increment again. So an SRK or an
+    EM step keeps one state-sized buffer, with a constant or an OU prior
+    alike. Any other iterable's array is the node's second input and is
+    kept until backward. H_j feeds no op after its node, so the gradients
+    are bitwise those of the same ops all on the tape. With the tape off,
+    each step is a plain call.
 
     A FloatingPointError in step j (raised under
     ``np.errstate(all="raise")``), or a non-finite state after it, is
@@ -204,17 +214,40 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     shape = h0.data.shape
     dt = config.dt
     g = config.g
+    path = increments if isinstance(increments, BrownianPath) else None
+    rngs = rng
+    if path is not None:
+        noise = np.random.Generator(np.random.PCG64(path.seed))
+        rngs = noise if rng is None else (rng, noise)
+        # the path stands in for each of its steps, so they are counted
+        # and shaped as an iterable's arrays are
+        increments = itertools.repeat(path, path.steps)
 
-    def drift(h, t):
-        return ad.checkpoint(lambda x: posterior_drift(x, t), (h,), rng)
+    # while the loop runs, each step's first drift is held until the next
+    # step makes its own. Freed at the step's end, it lets glibc trim the
+    # top of the heap and fault it back in every step: 15.6k against 6.3k
+    # minor faults per 20-path predict on the Cora stand-in, 37.4k against
+    # 26.6k in lemma 1's solve
+    held = [None]
 
-    def kl_term(f, prior):
-        v = (f - prior) * (1.0 / g)
-        return f, ad.tensor_sum(v * v) * (0.5 * dt)
-
-    def drift_and_kl(h, t):
-        return ad.checkpoint(lambda x, p: kl_term(posterior_drift(x, t), p),
-                             (h, prior_drift(h, t)), rng)
+    def step(t, h, dw=None):
+        """(H_{j+1}, KL_j) of the step from `h` at time t; H_{j+1} alone
+        with no prior. Without `dw` the step draws from the path."""
+        dw = path.draw(noise) if dw is None else dw.data
+        prior = None if prior_drift is None else prior_drift(h, t)
+        f = posterior_drift(h, t)
+        if held:
+            held[0] = f
+        if prior is not None:
+            # the KL ops come before the update's: f's gradient is summed
+            # over its consumers in their order, and trained bits depend on it
+            v = (f - prior) * (1.0 / g)
+            kl_j = ad.tensor_sum(v * v) * (0.5 * dt)
+        if config.scheme == "em":
+            h_next = em_step(h, f, g, dw, dt)
+        else:
+            h_next = srk_step(h, posterior_drift, g, dw, dt, t, k1=f)
+        return h_next if prior is None else (h_next, kl_j)
 
     h = h0
     kl = None if prior_drift is None else ad.Tensor(0.0)
@@ -226,16 +259,12 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
             raise ValueError(f"increments hold {j} steps, the config wants {config.steps}")
         if dw.shape != shape:
             raise ValueError(f"increment {j} has shape {dw.shape}, the state has {shape}")
+        inputs = (h,) if dw is path else (h, ad.Tensor(dw))
         try:
-            if kl is None:
-                f_post = drift(h, t)
-            else:
-                f_post, kl_j = drift_and_kl(h, t)
+            h_next = ad.checkpoint(functools.partial(step, t), inputs, rngs)
+            if kl is not None:
+                h_next, kl_j = h_next
                 kl = kl + kl_j
-            if config.scheme == "em":
-                h_next = em_step(h, f_post, g, dw, dt)
-            else:
-                h_next = srk_step(h, drift, g, dw, dt, t, k1=f_post)
         except FloatingPointError as e:
             raise _diverged(j, t, h, f"integration diverged at step {j}", f": {e}") from e
         if not np.all(np.isfinite(h_next.data)):
@@ -248,6 +277,7 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
                 raise _diverged(j, (j + 1) * dt, h,
                                 f"step {j} ended with a finite state",
                                 f", but reducing that state failed: {e}") from e
+    held.clear()  # backward's recomputes hold nothing
     if next(steps, None) is not None:
         raise ValueError(f"increments hold more than {config.steps} steps, "
                          f"the config wants {config.steps}")

@@ -380,10 +380,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("use", ["both", "first", "second", "first-twice"])
     def test_tuple_outputs_bitwise_equal_the_full_tape(self, use):
-        # fn returns (y, s) with s reading y, as integrate's first drift call
-        # returns the drift and a KL term computed from it; the loss reads
+        # fn returns (y, s) with s reading y, as a solver step returns its
+        # next state and a KL term computed from its drift; the loss reads
         # both outputs, one of them, or the first twice. Its input feeds one
-        # op, as H feeds only the drift's concat_cols
+        # op in fn
         def run(through_checkpoint):
             data = np.random.Generator(np.random.PCG64(5))
             x = Tensor(data.standard_normal((4, 4)), requires_grad=True)
@@ -412,6 +412,34 @@ class TestCheckpoint:
         loss, gx, gw, forward_state, after = run(True)
         ref_loss, ref_gx, ref_gw, ref_state, _ = run(False)
         assert loss == ref_loss and forward_state == ref_state == after
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gw, ref_gw)
+
+    def test_every_generator_of_a_tuple_is_put_back(self):
+        # fn draws dropout from one generator and a factor from another, as
+        # a solver step draws its mask and its Brownian increment: the
+        # recompute draws both again, and both end where the forward left
+        # them
+        def run(through_checkpoint):
+            data = np.random.Generator(np.random.PCG64(5))
+            x = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+            w = Tensor(data.standard_normal((4, 4)), requires_grad=True)
+            rngs = tuple(np.random.Generator(np.random.PCG64(s)) for s in (6, 7))
+            layer = self.layer(w)
+
+            def fn(a):
+                return ad.mul(layer(a, rngs[0]), Tensor(rngs[1].standard_normal((4, 4))))
+
+            h = x
+            for _ in range(3):
+                h = ad.checkpoint(fn, (h,), rngs) if through_checkpoint else fn(h)
+            loss = ad.tensor_sum(ad.mul(h, h))
+            forward = [r.bit_generator.state for r in rngs]
+            backward(loss)
+            return float(loss.data), x.grad, w.grad, forward, [r.bit_generator.state for r in rngs]
+
+        loss, gx, gw, forward, after = run(True)
+        ref_loss, ref_gx, ref_gw, ref_forward, _ = run(False)
+        assert loss == ref_loss and forward == ref_forward == after
         assert np.array_equal(gx, ref_gx) and np.array_equal(gw, ref_gw)
 
     def test_generator_ends_where_the_forward_left_it(self):

@@ -444,7 +444,8 @@ class TestRecompute:
 
     @staticmethod
     def checkpoint_calls(monkeypatch, ou):
-        """(inputs, output) of every checkpoint call in one training step."""
+        """(inputs, output) of every checkpoint call in one training step,
+        and the step's loss."""
         calls = []
         real = ad.checkpoint
 
@@ -456,8 +457,9 @@ class TestRecompute:
         g = make_graph()
         m = small_model(g, dropout=0.2, steps=3, prior_mu=0.3, prior_ou_theta=ou)
         monkeypatch.setattr(ad, "checkpoint", spy)
-        m.training_loss(g, BrownianPath(0, 3, g.n, 3), rng=np.random.Generator(np.random.PCG64(0)))
-        return calls
+        loss = m.training_loss(g, BrownianPath(0, 3, g.n, 3),
+                               rng=np.random.Generator(np.random.PCG64(0)))
+        return calls, loss
 
     @staticmethod
     def recompute_node(*outs):
@@ -468,40 +470,51 @@ class TestRecompute:
             assert out._node is not node and out._node.parents == (node,)
         return node
 
-    @classmethod
-    def first_call_nodes(cls, drifts):
-        """Yield (H, prior, recompute node) of each step's first drift call,
-        checking that it read (H, prior) and that both its outputs, the
-        drift and the KL term, are nodes on one recompute node."""
-        assert [len(inputs) for inputs, _ in drifts] == [2, 1] * 3
-        for (h, prior), (f, kl) in drifts[0::2]:
-            assert h._node is not None
-            yield h, prior, cls.recompute_node(f, kl)
+    def test_step_and_encoder_are_single_nodes(self, monkeypatch):
+        # the encoder reads no input, so its recompute node has no parent.
+        # Each solver step is one recompute node whose one parent is the
+        # node of H_j, the state the step before returned: the increment is
+        # drawn inside the step and the constant prior made there. The
+        # step's outputs, H_{j+1} and its KL term, each get a node on it
+        ((inputs, h), *steps), _ = self.checkpoint_calls(monkeypatch, None)
+        assert inputs == () and self.recompute_node(h).parents == ()
+        assert len(steps) == 3
+        for inputs, (h_next, kl_j) in steps:
+            assert len(inputs) == 1 and inputs[0] is h
+            assert self.recompute_node(h_next, kl_j).parents == (h._node,)
+            assert kl_j.data.shape == ()
+            h = h_next
 
-    def test_drift_and_encoder_are_single_nodes(self, monkeypatch):
-        # inside a taped integrate each drift call is one recompute node,
-        # and each of its outputs a node on it. The encoder reads no input,
-        # so its recompute node has no parent. A step's first call reads
-        # (H, prior) and returns its KL term too; the constant prior is a
-        # zero-stride view with no node, so the recompute node's parents
-        # are (H's node, None). The step's second call reads only its state
-        (inputs, encoded), *drifts = self.checkpoint_calls(monkeypatch, None)
-        assert inputs == () and self.recompute_node(encoded).parents == ()
-        assert [isinstance(out, tuple) for _, out in drifts] == [True, False] * 3
-        for h, prior, node in self.first_call_nodes(drifts):
-            assert prior._node is None and prior.data.strides == (0, 0)
-            assert np.all(prior.data == 0.3)
-            assert node.parents == (h._node, None)
-        for (h,), out in drifts[1::2]:
-            assert h._node is not None and self.recompute_node(out).parents == (h._node,)
+    def test_ou_prior_is_recomputed_in_the_step(self, monkeypatch):
+        # the OU prior -theta H_j is made inside the step's node, whose one
+        # parent stays H_j's node: off the tape in the forward, and again
+        # on the nested tape of the step's recompute, from a fresh leaf
+        # holding H_j's array, which gets its gradient there
+        priors = []
+        real = LGNSDEModel.prior_drift
 
-    def test_ou_prior_is_the_second_parent(self, monkeypatch):
-        # the OU prior -theta H is on the tape: its node is the recompute
-        # node's second parent
-        _, *drifts = self.checkpoint_calls(monkeypatch, 0.5)
-        for h, prior, node in self.first_call_nodes(drifts):
-            assert prior._node is not None and node.parents == (h._node, prior._node)
-            assert np.array_equal(prior.data, h.data * -0.5)
+        def spy(model, h, t):
+            out = real(model, h, t)
+            priors.append((h, out))
+            return out
+
+        monkeypatch.setattr(LGNSDEModel, "prior_drift", spy)
+        ((_, h0), *steps), loss = self.checkpoint_calls(monkeypatch, 0.5)
+        states = [h0] + [h for _, (h, _) in steps[:-1]]
+        for (_, (h_next, kl_j)), state in zip(steps, states):
+            assert self.recompute_node(h_next, kl_j).parents == (state._node,)
+        assert len(priors) == 3
+        for (h, prior), state in zip(priors, states):
+            assert h is state and prior._node is None
+            assert np.array_equal(prior.data, state.data * -0.5)
+        backward(loss)
+        # backward recomputes the newest step first
+        recomputed = priors[3:][::-1]
+        assert len(recomputed) == 3
+        for (leaf, again), (_, prior), state in zip(recomputed, priors, states):
+            assert leaf is not state and leaf.data is state.data
+            assert leaf.grad is not None and again._node is not None
+            assert np.array_equal(again.data, prior.data)
 
 
 class TestTapeMemory:
@@ -530,24 +543,26 @@ class TestTapeMemory:
         return (step_peak(16) - step_peak(8)) / 8 / (graph.n * hidden * 8)
 
     def test_buffers_kept_per_solver_step(self):
-        # an SRK step keeps H and the second drift call's input (2.14
-        # measured); the KL integrand is recomputed, not kept (3.18 when it
-        # was). A tape that keeps every op output and a gradient for each
-        # holds about 64
-        assert self.buffers_per_step("srk") <= 2.3
+        # an SRK step keeps only H_j (1.07 measured): the second drift
+        # call's input, the KL integrand and the increment are recomputed
+        # in backward (2.15 when the second input was kept, 3.18 with the
+        # KL integrand too). A tape that keeps every op output and a
+        # gradient for each holds about 64
+        assert self.buffers_per_step("srk") <= 1.2
 
     def test_buffers_kept_per_em_step(self):
-        # an EM step keeps only H (1.05 measured; 2.04 with the KL integrand)
+        # an EM step keeps only H_j (1.03 measured; 2.04 with the KL integrand)
         assert self.buffers_per_step("em") <= 1.2
 
     def test_buffers_kept_per_ou_solver_step(self):
-        # an OU prior -theta H is a checkpoint input of each step's first
-        # drift call, one buffer more per step (3.08 measured)
-        assert self.buffers_per_step("srk", ou=0.5) <= 3.2
+        # the OU prior -theta H_j is recomputed inside the step's node, so
+        # it keeps nothing (1.03 measured; 3.09 when the prior was an input
+        # of the step's first drift call)
+        assert self.buffers_per_step("srk", ou=0.5) <= 1.2
 
     def test_buffers_kept_per_ou_em_step(self):
-        # H and the OU prior (2.06 measured)
-        assert self.buffers_per_step("em", ou=0.5) <= 2.2
+        # H_j alone (1.03 measured; 2.06 with the prior kept)
+        assert self.buffers_per_step("em", ou=0.5) <= 1.2
 
     def test_step_peak_below_whole_path_and_float_masks(self, monkeypatch):
         # the same training step with what the tape held before: the whole

@@ -401,21 +401,27 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_per_step_arrays_equal_the_path_array(self, scheme):
-        # a stream of per-step copies drives the solver to the same bits
+        # the path's array, a stream of per-step copies (both kept as the
+        # step's second input) and the path itself (each step drawn inside
+        # its node and drawn again in backward) drive the solver to the
+        # same bits, and give a taped h0 the same gradient
         cfg, path, h0 = self._setup(steps=6, scheme=scheme)
         drift = lambda h, t: ad.tanh(h) * (0.5 - t)
         runs = []
-        for increments in (np.stack(list(path)), (dw.copy() for dw in path)):
+        for increments in (np.stack(list(path)), (dw.copy() for dw in path), path):
             seen = {}
-            h1, kl = integrate(h0, drift, const_drift(0.2), cfg, increments,
+            h = Tensor(h0.data, requires_grad=True)
+            h1, kl = integrate(h, drift, const_drift(0.2), cfg, increments,
                                lambda j, h: seen.__setitem__(j, h.copy()))
-            runs.append((h1.data, float(kl.data), seen))
-        (h_a, kl_a, seen_a), (h_b, kl_b, seen_b) = runs
-        assert np.array_equal(h_a, h_b)
-        assert kl_a == kl_b
-        assert sorted(seen_a) == sorted(seen_b) == list(range(1, 7))
-        for j in seen_a:
-            assert np.array_equal(seen_a[j], seen_b[j])
+            backward(ad.tensor_sum(h1 * h1) + kl)
+            runs.append((h1.data, float(kl.data), h.grad, seen))
+        for h1, kl, grad, seen in runs[1:]:
+            assert np.array_equal(h1, runs[0][0])
+            assert kl == runs[0][1]
+            assert np.array_equal(grad, runs[0][2])
+            assert sorted(seen) == sorted(runs[0][3]) == list(range(1, 7))
+            for j in seen:
+                assert np.array_equal(seen[j], runs[0][3][j])
 
     @pytest.mark.parametrize("steps, message", [
         (3, "increments hold 3 steps, the config wants 4"),
