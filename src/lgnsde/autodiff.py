@@ -35,7 +35,12 @@ calling `fn` on the tape. The nested pass runs through the private
 
 import contextlib
 import contextvars
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 
 import numpy as np
 
@@ -392,13 +397,14 @@ def checkpoint(fn, inputs, rng=None):
 class SparseMatrix:
     """Constant (never trained) sparse matrix in CSR form.
 
-    Backed by scipy.sparse; duplicate (row, col) entries are rejected because
-    a silent sum would hide loader bugs.
+    ``_csr`` and ``_csr_t`` hold the (indptr, indices, data) arrays of the
+    matrix and of its transpose, in scipy's canonical order (rows ascending,
+    columns ascending within a row, int32 indices when they fit), so that
+    scipy's kernel sums every product in scipy's order. Duplicate (row, col)
+    entries are rejected because a silent sum would hide loader bugs.
     """
 
     def __init__(self, rows, cols, vals, shape):
-        from scipy import sparse
-
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -411,18 +417,72 @@ class SparseMatrix:
             if np.unique(keys).size != keys.size:
                 raise ValueError("duplicate (row, col) entries in sparse matrix")
         self.shape = (int(shape[0]), int(shape[1]))
-        self._csr = sparse.csr_matrix((vals, (rows, cols)), shape=self.shape)
-        self._csr_t = self._csr.T.tocsr()
+        self._csr = _csr_arrays(rows, cols, vals, self.shape)
+        self._csr_t = _csr_arrays(cols, rows, vals, self.shape[::-1])
 
     @property
     def nnz(self):
-        return int(self._csr.nnz)
+        return int(self._csr[2].size)
 
     def matmul(self, h):
         """A @ h for a Tensor h; see ``spmm``. The model calls ``spmm``
         itself: this method stays only because the benchmark's tracer
         looks it up by name."""
         return spmm(self, h)
+
+
+def _csr_arrays(rows, cols, vals, shape):
+    """(indptr, indices, data) of the m x n matrix with the given distinct
+    entries, as ``scipy.sparse.csr_matrix((vals, (rows, cols)))`` lays them
+    out."""
+    index = np.int32 if max(*shape, rows.size) <= np.iinfo(np.int32).max else np.int64
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return indptr, cols[order].astype(index), vals[order]
+
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_extension(name, folder):
+    """Import the compiled module `name` from its file in `folder` without
+    importing the package that holds it. It is entered in sys.modules, so
+    a later import of that package reuses it."""
+    finder = importlib.machinery.FileFinder(folder, (
+        importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} extension in {folder}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+@functools.cache
+def _csr_matvecs():
+    """scipy's compiled CSR times dense-columns loop, the one that
+    ``csr_matrix @ array`` calls. It is loaded from its extension file:
+    scipy/sparse/__init__.py would import scipy._lib._array_api and with
+    it numpy.f2py, numpy.testing and unittest, about 20 MB of every
+    process."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        module = _load_extension(_SPARSETOOLS, os.path.join(scipy, "sparse"))
+    return module.csr_matvecs
+
+
+def _csr_matmul(csr, shape, x):
+    """The CSR matrix (arrays `csr`, shape (m, n)) times x read row-major
+    as an (n, k) array: the (m, k) product, flattened, summed as scipy
+    sums it."""
+    m, n = shape
+    k = x.size // n
+    out = np.zeros(m * k)
+    _csr_matvecs()(m, n, k, *csr, x.ravel(), out)
+    return out
 
 
 def spmm(adj, h):
@@ -437,9 +497,9 @@ def spmm(adj, h):
     if h.data.ndim != 2 or h.data.shape[0] == 0 or h.data.shape[0] % n:
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {h.data.shape}")
     d = h.data.shape[1]
-    out_data = (adj._csr @ h.data.reshape(n, -1)).reshape(-1, d)
-    csr_t, m = adj._csr_t, adj.shape[0]
-    return _make(out_data, (h,), lambda g: ((csr_t @ g.reshape(m, -1)).reshape(-1, d),))
+    out_data = _csr_matmul(adj._csr, adj.shape, h.data).reshape(-1, d)
+    csr_t, shape_t = adj._csr_t, adj.shape[::-1]
+    return _make(out_data, (h,), lambda g: (_csr_matmul(csr_t, shape_t, g).reshape(-1, d),))
 
 
 # ------------------------------------------------------------------- adam

@@ -3,9 +3,19 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import lgnsde.autodiff as ad
 from lgnsde.autodiff import Adam, SparseMatrix, Tensor, backward
+from lgnsde.graphdata import normalized_adjacency
+
+
+def scipy_csr(adj):
+    """The scipy.sparse matrix on a SparseMatrix's own CSR arrays: the one
+    reader of those arrays in the tests (scipy.sparse is a test oracle
+    only)."""
+    indptr, indices, data = adj._csr
+    return sparse.csr_matrix((data, indices, indptr), shape=adj.shape)
 
 
 def float_mask_dropout(a, p, rng=None):
@@ -85,9 +95,9 @@ class TestSpmm:
         sp = SparseMatrix(r, c, rng.standard_normal(r.size), (5, 5))
         h = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         out = ad.spmm(sp, h)
-        assert np.abs(out.data - sp._csr.toarray() @ h.data).max() < 1e-12
+        assert np.abs(out.data - scipy_csr(sp).toarray() @ h.data).max() < 1e-12
         backward(ad.tensor_sum(out))
-        dense = Tensor(sp._csr.toarray())
+        dense = Tensor(scipy_csr(sp).toarray())
         h2 = Tensor(h.data, requires_grad=True)
         backward(ad.tensor_sum(ad.matmul(dense, h2)))
         assert np.abs(h.grad - h2.grad).max() < 1e-12
@@ -106,13 +116,82 @@ class TestSpmm:
         out = sp.matmul(Tensor(np.swapaxes(h, 0, 1).reshape(28, 3))).data
         out = np.swapaxes(out.reshape(4, 7, 3), 0, 1)
         for k in range(7):
-            assert np.abs(out[k] - sp._csr.toarray() @ h[k]).max() < 1e-12
+            assert np.abs(out[k] - scipy_csr(sp).toarray() @ h[k]).max() < 1e-12
 
     @pytest.mark.parametrize("rows", [3, 6, 0])
     def test_rows_not_a_multiple_of_n_rejected(self, rows):
         sp = SparseMatrix(range(4), range(4), np.ones(4), (4, 4))
         with pytest.raises(ValueError, match="spmm shape mismatch"):
             ad.spmm(sp, Tensor(np.ones((rows, 2))))
+
+
+class TestSpmmEqualsScipy:
+    """spmm calls scipy's compiled CSR loop itself; its products and
+    gradients must be bitwise those of ``scipy.sparse.csr_matrix @``."""
+
+    @staticmethod
+    def random_matrix(rng, m, n):
+        # entries in shuffled order, so the layout is sorted, not copied;
+        # at this density some rows and columns are empty
+        r, c = np.nonzero(rng.random((m, n)) < 0.25)
+        order = rng.permutation(r.size)
+        return r[order], c[order], rng.standard_normal(r.size)
+
+    @staticmethod
+    def check(adj, h, w):
+        """spmm(adj, h) against the oracle, and h's gradient of
+        sum([w, w] * concat_cols(spmm(adj, h), w)), which is A^T w, against
+        the oracle's transpose: concat_cols hands spmm's backward a column
+        slice, a non-contiguous array."""
+        d = h.shape[1]
+        oracle = scipy_csr(adj)
+        x = Tensor(h, requires_grad=True)
+        out = ad.spmm(adj, x)
+        want = (oracle @ h.reshape(adj.shape[1], -1)).reshape(-1, d)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        wide = np.hstack([w, w])
+        backward(ad.tensor_sum(ad.mul(ad.concat_cols(out, Tensor(w)), Tensor(wide))))
+        want = (oracle.T.tocsr() @ w.reshape(adj.shape[0], -1)).reshape(-1, d)
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_layout_equals_scipys(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        r, c, v = self.random_matrix(rng, *rng.integers(1, 12, 2))
+        shape = (int(r.max(initial=0)) + 2, int(c.max(initial=0)) + 3)
+        adj = SparseMatrix(r, c, v, shape)
+        want = sparse.csr_matrix((v, (r, c)), shape=shape)
+        for got, ref in ((adj._csr, want), (adj._csr_t, want.T.tocsr())):
+            for a, name in zip(got, ("indptr", "indices", "data")):
+                b = getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert adj.nnz == want.nnz
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rectangular(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        m, n = (int(k) for k in rng.integers(1, 12, 2))
+        adj = SparseMatrix(*self.random_matrix(rng, m, n), (m, n))
+        d = int(rng.integers(1, 4))
+        self.check(adj, rng.standard_normal((n, d)), rng.standard_normal((m, d)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_node_major_batch_of_three(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        adj = SparseMatrix(*self.random_matrix(rng, 6, 6), (6, 6))
+        self.check(adj, rng.standard_normal((18, 4)), rng.standard_normal((18, 4)))
+
+    @pytest.mark.parametrize("adj", [normalized_adjacency([], 4),
+                                     SparseMatrix([], [], [], (3, 5))],
+                             ids=["no-edges", "no-entries"])
+    def test_graph_without_edges(self, adj):
+        rng = np.random.Generator(np.random.PCG64(0))
+        m, n = adj.shape
+        self.check(adj, rng.standard_normal((2 * n, 3)), rng.standard_normal((2 * m, 3)))
+
+    def test_missing_kernel_names_the_folder(self, tmp_path):
+        with pytest.raises(ImportError, match=str(tmp_path)):
+            ad._load_extension("scipy.sparse._sparsetools", str(tmp_path))
 
 
 class TestElementwise:
@@ -219,7 +298,7 @@ class TestElementwise:
 
             def fval():
                 states = np.hstack([x.data, col]).reshape(2, 2, 4)
-                mixed = np.einsum("ij,jbc->ibc", adj._csr.toarray(), states)
+                mixed = np.einsum("ij,jbc->ibc", scipy_csr(adj).toarray(), states)
                 return mixed.reshape(4, 4) @ wt.data + bias.data
         if op == "relu" and np.abs(x.data).min() < 1e-3:
             return  # FD is invalid at the kink

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import asdict
 from pathlib import Path
 
@@ -82,6 +83,29 @@ def test_import_loads_no_scipy_stats_or_special():
                                   "'scipy.special'))))"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_train_and_predict_load_no_scipy_sparse():
+    # scipy/sparse/__init__.py imports scipy._lib._array_api and with it
+    # numpy.f2py, numpy.testing and unittest: 20 MB of every process that
+    # built a graph. spmm loads only the compiled kernel module
+    code = textwrap.dedent("""
+        import sys
+        import lgnsde.cli
+        from lgnsde import (BrownianPath, LGNSDEModel, SplitSpec, backward,
+                            make_splits, sbm_generate)
+        g = make_splits(sbm_generate(2, 5, 0.5, 0.1, 3, 1.0, seed=0),
+                        SplitSpec(seed=0, train_frac=0.4, val_frac=0.2))
+        model = LGNSDEModel(g.d_in, g.num_classes, hidden=3, steps=2, seed=0)
+        backward(model.training_loss(g, BrownianPath(0, 2, g.n, 3)))
+        assert model.W1.grad is not None
+        model.predict(g, 2)
+        print(sorted(m for m in sys.modules if m.startswith(
+            ('scipy.sparse', 'scipy._lib._array_api', 'numpy.f2py', 'unittest'))))
+    """)
+    proc = run_subprocess(python=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.sparse._sparsetools']"
 
 
 class TestParseConfig:

@@ -10,7 +10,7 @@ from lgnsde.graphdata import SplitSpec, build_graph, make_splits, sbm_generate
 from lgnsde.model import LGNSDEModel
 from lgnsde.sde import BrownianPath, DivergedError, integrate
 from lgnsde.train import train_model
-from tests.test_autodiff import float_mask_dropout
+from tests.test_autodiff import float_mask_dropout, scipy_csr
 
 
 def make_graph(n=9, d=4, c=3, seed=0, ring=True):
@@ -74,7 +74,7 @@ class TestPosteriorDrift:
         out = f(Tensor(np.ones((g.n, m.hidden))), 0.5).data
         # A_hat tanh(0.3) has row sums <= 1 but b2 passes straight through
         assert np.allclose(out[:, 0], out[:, 1])
-        expect = g.norm_adj._csr.toarray() @ (np.tanh(0.3) * np.ones((g.n, m.hidden))) \
+        expect = scipy_csr(g.norm_adj).toarray() @ (np.tanh(0.3) * np.ones((g.n, m.hidden))) \
             @ m.W2.data + m.b2.data
         assert np.abs(out - expect).max() < 1e-14
 
