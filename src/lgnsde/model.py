@@ -6,7 +6,6 @@ softmax at the final time. Prediction averages softmax outputs over
 independent Brownian samples.
 """
 
-import itertools
 import json
 import zipfile
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .sde import DivergedError, SDEConfig, drawn_ahead, integrate
+from .sde import BrownianPath, DivergedError, SDEConfig, integrate
 
 
 def glorot(rng, fan_in, fan_out):
@@ -135,32 +134,30 @@ class LGNSDEModel:
     def predict(self, graph, mc_samples, master_seed=0, return_samples=False):
         """MC posterior predictive: average softmax over Brownian samples.
 
-        Sample i integrates the path ``BrownianPath(seeds[i], ...)`` would
-        draw: ``drawn_ahead`` draws its (n, hidden) steps one at a time
-        from one ``PCG64(seeds[i])`` on its helper thread, each while the
-        solver integrates the step before, into a pair of step buffers. So
-        two steps of noise are live whatever the step count, and sample
-        i + 1's first step is drawn while sample i's last integrates. An
-        overflow or NaN in sample i, in its solve, decoder or softmax, is a
-        DivergedError that names its ``sample`` i, and its message starts
-        ``MC sample i: ``. With `return_samples`, the per-sample
-        probabilities come back too, as one (mc_samples, n, classes) array."""
+        Sample i integrates the path ``BrownianPath(seeds[i], ...)`` of
+        (n, hidden) steps. ``integrate`` draws each step after the first
+        on its helper thread while the step before integrates, so two
+        steps of noise are live whatever the step count; a sample's first
+        step is drawn on this thread when the sample starts, not during
+        the sample before. An overflow or NaN in sample i,
+        in its solve, decoder or softmax, is a DivergedError that names
+        its ``sample`` i, and its message starts ``MC sample i: ``. With
+        `return_samples`, the per-sample probabilities come back too, as
+        one (mc_samples, n, classes) array."""
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
         cfg = self.sde_config
         seeds = np.random.SeedSequence(master_seed).generate_state(mc_samples)
-        rngs = itertools.chain.from_iterable(
-            itertools.repeat(np.random.Generator(np.random.PCG64(int(s))), cfg.steps)
-            for s in seeds)
         # one block for every sample: per-sample arrays kept in a list let
         # glibc trim and regrow the heap under the solver every other sample
         samples = np.empty((mc_samples, graph.n, self.num_classes))
-        with no_grad(), drawn_ahead(rngs, (graph.n, self.hidden), cfg.dt) as stream:
+        with no_grad():
             h0 = self.encode(graph)
             drift = self.posterior_drift_fn(graph)
-            for i in range(mc_samples):
+            for i, seed in enumerate(seeds):
+                path = BrownianPath(seed, cfg.steps, graph.n, self.hidden, t1=cfg.t1)
                 try:
-                    h, _ = integrate(h0, drift, None, cfg, itertools.islice(stream, cfg.steps))
+                    h, _ = integrate(h0, drift, None, cfg, path)
                     samples[i] = ad.softmax_rows(self.decode(h)).data
                 except FloatingPointError as e:
                     err = e if isinstance(e, DivergedError) else DivergedError(str(e))

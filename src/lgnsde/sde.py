@@ -9,7 +9,7 @@ solver step is one ``autodiff.checkpoint`` node, recomputed in backward.
 import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +61,13 @@ class SDEConfig:
 class BrownianPath:
     """Seeded Wiener increments: `steps` (n, d) arrays of N(0, dt) draws.
 
-    The path keeps its seed, not its draws. Iterating it draws the steps
-    one at a time with ``draw`` from a fresh ``PCG64(seed)``, each as
-    ``standard_normal((n, d))`` then ``*= sqrt(dt)``. The sampler buffers
-    nothing between calls, so step j is bitwise the j-th slice of one
+    The path keeps its seed, not its draws. ``draw`` is the one recipe
+    that makes an increment: ``standard_normal((n, d))``, then ``*=
+    sqrt(dt)``. Iterating the path draws its steps one at a time with it
+    from a fresh ``PCG64(seed)``. The sampler buffers nothing between
+    calls, so step j is bitwise the j-th slice of one
     ``standard_normal((steps, n, d)) * sqrt(dt)`` draw, and every iteration
-    yields the same steps. ``integrate`` draws each step through ``draw``
-    too, inside the step's checkpoint, so a training step keeps no noise
-    on the tape: backward draws the step again.
+    yields the same steps. ``integrate`` draws a path it is given itself.
     """
 
     def __init__(self, seed, steps, n, d, t0=0.0, t1=1.0):
@@ -77,10 +76,10 @@ class BrownianPath:
         self.shape = (n, d)
         self.scale = np.sqrt((t1 - t0) / steps)
 
-    def draw(self, rng):
-        """The next step of the path from `rng`, a ``PCG64(seed)`` generator
-        that has drawn the steps before it."""
-        dw = rng.standard_normal(self.shape)
+    def draw(self, rng, out=None):
+        """The next step of the path from `rng`, a generator that has drawn
+        the steps before it, into `out` (an (n, d) array) if given."""
+        dw = rng.standard_normal(self.shape, out=out)
         dw *= self.scale
         return dw
 
@@ -91,54 +90,47 @@ class BrownianPath:
 
 
 @contextmanager
-def drawn_ahead(rngs, shape, dt):
-    """Iterate over one `shape` array of N(0, dt) draws per rng in `rngs`,
-    each drawn while the caller works on the one before it.
+def _drawn_ahead(path):
+    """Iterate over the steps of `path`, bitwise ``list(path)``, each drawn
+    while the caller works on the one before it.
 
-    One helper thread fills each array with ``standard_normal(out=...)``
-    and ``*= sqrt(dt)``, bit-identical to ``standard_normal(shape) *
-    sqrt(dt)``. The arrays take turns in a pair of buffers: the first
-    draw is queued on entry, and each request for the next array queues
-    one more into the buffer the caller gave back, so one draw at most is
-    queued ahead of the array the caller holds, whatever the stream's
-    length. Array i is overwritten once array i+1 is requested: use each
-    array before asking for the next. The caller's thread takes each rng
-    from `rngs` and allocates the buffers, so no memory is freed into the
-    helper's malloc arena. The helper calls numpy only: it touches no
-    Tensor and calls nothing a tracer may wrap. numpy keeps
+    The caller's thread draws step 0 when it asks for it (so it never
+    waits for a new thread's first draw), and one helper thread each later
+    step, all from one ``PCG64(path.seed)`` through ``path.draw``. The
+    steps take turns in the two halves of one (2, n, d) block, allocated
+    on the caller's thread so no memory is freed into the helper's malloc
+    arena. Each request queues the next draw into the half the caller gave
+    back, so at most one step is drawn ahead, and step j is overwritten
+    once step j + 1 is requested. The helper touches no Tensor, and
+    ``draw`` is the one lgnsde function it calls. numpy keeps
     ``np.errstate`` per thread context, so the helper runs under the
     caller's settings, copied on entry; an error raised there is raised by
     the iterator. When the ``with`` block ends, also in an exception, the
     queued draw is cancelled and the thread is joined.
     """
-    scale = np.sqrt(dt)
+    rng = np.random.Generator(np.random.PCG64(path.seed))
     err = np.geterr()
 
-    def fill(rng, out):
+    def fill(out):
         with np.errstate(**err):
-            rng.standard_normal(out=out)
-            out *= scale
-        return out
+            return path.draw(rng, out)
 
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        rngs = iter(rngs)
         # both buffers in one block: a large one is mapped and unmapped
         # whole, so it leaves no hole in the heap (two blocks, or one per
         # draw, raised the peak RSS of some benchmark runs by 2-8%)
-        pair = itertools.cycle(np.empty((2, *shape)))
+        pair = itertools.cycle(np.empty((2, *path.shape)))
 
-        def submit():
-            rng = next(rngs, None)
-            return None if rng is None else helper.submit(fill, rng, next(pair))
+        def draws():
+            dw = path.draw(rng, next(pair))
+            for _ in range(path.steps - 1):
+                pending = helper.submit(fill, next(pair))
+                yield dw
+                dw = pending.result()
+            yield dw
 
-        def draws(pending):
-            while pending is not None:
-                # the next draw goes into the buffer the caller just gave back
-                ready, pending = pending, submit()
-                yield ready.result()
-
-        yield draws(submit())
+        yield draws()
     finally:
         helper.shutdown(cancel_futures=True)
 
@@ -176,11 +168,15 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
 
     `increments` is a ``BrownianPath`` of ``config.steps`` steps shaped
     like the state, or any iterable of exactly that many arrays, read one
-    step at a time: a (steps, n, d) array, or a stream such as
-    ``drawn_ahead`` yields. Step j is done with its array before the next
-    is requested, so with the tape off a stream may reuse its buffers.
-    Too few or too many steps, or a step of the wrong shape, is a
-    ValueError.
+    step at a time: a (steps, n, d) array or a stream. Step j is done
+    with its array before the next is requested, so with the tape off a
+    stream may reuse its buffers. Too few or too many steps, or a step of
+    the wrong shape, is a ValueError.
+
+    A path given here is drawn here: with the tape off by
+    ``_drawn_ahead``, each step after the first on a helper thread one
+    step ahead of the solver, joined before ``integrate`` returns or
+    raises; with the tape on inside each step's checkpoint (see below).
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
@@ -216,12 +212,16 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     g = config.g
     path = increments if isinstance(increments, BrownianPath) else None
     rngs = rng
-    if path is not None:
+    if path is None:
+        stream = nullcontext(iter(increments))
+    elif ad._grad_enabled.get():
         noise = np.random.Generator(np.random.PCG64(path.seed))
         rngs = noise if rng is None else (rng, noise)
         # the path stands in for each of its steps, so they are counted
         # and shaped as an iterable's arrays are
-        increments = itertools.repeat(path, path.steps)
+        stream = nullcontext(itertools.repeat(path, path.steps))
+    else:
+        stream = _drawn_ahead(path)
 
     # while the loop runs, each step's first drift is held until the next
     # step makes its own. Freed at the step's end, it lets glibc trim the
@@ -251,34 +251,34 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
 
     h = h0
     kl = None if prior_drift is None else ad.Tensor(0.0)
-    steps = iter(increments)
-    for j in range(config.steps):
-        t = j * dt
-        dw = next(steps, None)
-        if dw is None:
-            raise ValueError(f"increments hold {j} steps, the config wants {config.steps}")
-        if dw.shape != shape:
-            raise ValueError(f"increment {j} has shape {dw.shape}, the state has {shape}")
-        inputs = (h,) if dw is path else (h, ad.Tensor(dw))
-        try:
-            h_next = ad.checkpoint(functools.partial(step, t), inputs, rngs)
-            if kl is not None:
-                h_next, kl_j = h_next
-                kl = kl + kl_j
-        except FloatingPointError as e:
-            raise _diverged(j, t, h, f"integration diverged at step {j}", f": {e}") from e
-        if not np.all(np.isfinite(h_next.data)):
-            raise _diverged(j, t, h, f"integration diverged at step {j}", "")
-        h = h_next
-        if observe is not None:
+    with stream as steps:
+        for j in range(config.steps):
+            t = j * dt
+            dw = next(steps, None)
+            if dw is None:
+                raise ValueError(f"increments hold {j} steps, the config wants {config.steps}")
+            if dw.shape != shape:
+                raise ValueError(f"increment {j} has shape {dw.shape}, the state has {shape}")
+            inputs = (h,) if dw is path else (h, ad.Tensor(dw))
             try:
-                observe(j + 1, h.data)
+                h_next = ad.checkpoint(functools.partial(step, t), inputs, rngs)
+                if kl is not None:
+                    h_next, kl_j = h_next
+                    kl = kl + kl_j
             except FloatingPointError as e:
-                raise _diverged(j, (j + 1) * dt, h,
-                                f"step {j} ended with a finite state",
-                                f", but reducing that state failed: {e}") from e
-    held.clear()  # backward's recomputes hold nothing
-    if next(steps, None) is not None:
-        raise ValueError(f"increments hold more than {config.steps} steps, "
-                         f"the config wants {config.steps}")
+                raise _diverged(j, t, h, f"integration diverged at step {j}", f": {e}") from e
+            if not np.all(np.isfinite(h_next.data)):
+                raise _diverged(j, t, h, f"integration diverged at step {j}", "")
+            h = h_next
+            if observe is not None:
+                try:
+                    observe(j + 1, h.data)
+                except FloatingPointError as e:
+                    raise _diverged(j, (j + 1) * dt, h,
+                                    f"step {j} ended with a finite state",
+                                    f", but reducing that state failed: {e}") from e
+        held.clear()  # backward's recomputes hold nothing
+        if next(steps, None) is not None:
+            raise ValueError(f"increments hold more than {config.steps} steps, "
+                             f"the config wants {config.steps}")
     return h, kl

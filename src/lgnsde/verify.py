@@ -13,14 +13,13 @@ except the zero-drift control's, an exact chi^2 band at alpha = 1e-6
 """
 
 import csv
-import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
-from .sde import drawn_ahead, integrate
+from .sde import BrownianPath, integrate
 
 
 def estimate_lipschitz(model):
@@ -59,11 +58,10 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
                  zero_drift=False):
     """Variance-bound check: Var(y(t)) <= L_h^2 Var(H(t)) on an MC ensemble.
 
-    The mc paths start at H(0), driven by the increments
-    ``BrownianPath(seed, steps, n*mc, hidden)`` yields, drawn one step
-    at a time on ``drawn_ahead``'s helper thread while the step before
-    integrates, so two (n*mc, hidden) noise buffers are live, not the whole
-    path; var_h and var_y sum the per-coordinate sample variances
+    The mc paths start at H(0), driven by the path
+    ``BrownianPath(seed, steps, n*mc, hidden)``, which ``integrate`` draws
+    one step at a time, so two (n*mc, hidden) noise buffers are live, not
+    the whole path; var_h and var_y sum the per-coordinate sample variances
     across paths of the state and of the decoder output. L_h is the
     decoder's spectral norm by SVD. The output gate is exact for any path
     count: var_y is sum_i tr(W^T C_i W) over the per-node sample covariances
@@ -113,11 +111,10 @@ def lemma1_check(model, graph, mc=1_000, grid_points=8, seed=0,
         })
 
     drift = (lambda h, t: h * 0.0) if zero_drift else model.posterior_drift_fn(graph)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    with no_grad(), drawn_ahead(itertools.repeat(rng, cfg.steps), (n * mc, hidden),
-                                cfg.dt) as increments:
+    path = BrownianPath(seed, cfg.steps, n * mc, hidden, t1=cfg.t1)
+    with no_grad():
         h0 = model.encode(graph).data
-        integrate(Tensor(np.repeat(h0, mc, axis=0)), drift, None, cfg, increments, observe)
+        integrate(Tensor(np.repeat(h0, mc, axis=0)), drift, None, cfg, path, observe)
     gates = ("output_pass", "diffusion_pass") if zero_drift else ("output_pass",)
     return {"L_h": l_h, "mc": mc, "zero_drift": zero_drift, "grid": rows,
             "pass": all(r[k] for r in rows for k in gates)}
@@ -132,9 +129,10 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
     and perturbed paths of all trials are one batch, laid out as
     (n, 2, trials, hidden); a pair shares its trial's increments, so with a
     constant diffusion the noise cancels exactly (the lemma's L_g^2/2 term
-    is 0). After the directions, ``drawn_ahead`` draws the increments one
-    (n, 1, trials, hidden) step at a time, as for lemma 1: the same stream
-    as one (steps, n, 1, trials, hidden) draw. Two exact statements are gated:
+    is 0). The generator that drew the directions then draws each
+    (n*trials, hidden) step with ``BrownianPath.draw`` into one buffer, on
+    the caller's thread while no step integrates: the same stream as one
+    (steps, n, 1, trials, hidden) draw. Two exact statements are gated:
 
     - ``certificate_pass``: the realized L_f, the largest ratio
       ||F - F~|| / ||H - H~|| over the drift calls that advance the paths,
@@ -184,12 +182,14 @@ def lemma2_check(model, graph, epsilon=1e-2, trials=50, grid_points=8, seed=0):
         if j in grid:
             rows.append({"t": float(j * cfg.dt), "measured": float(gap(h).mean())})
 
-    with no_grad(), drawn_ahead(itertools.repeat(rng, cfg.steps), (n, 1, trials, hidden),
-                                cfg.dt) as draws:
+    path = BrownianPath(seed, cfg.steps, n * trials, hidden, t1=cfg.t1)
+    dw = np.empty(path.shape)
+    increments = (np.broadcast_to(path.draw(rng, dw).reshape(n, 1, trials, hidden),
+                                  (n, 2, trials, hidden)).reshape(-1, hidden)
+                  for _ in range(path.steps))
+    with no_grad():
         h0 = model.encode(graph).data[:, None]
         start = np.stack([np.broadcast_to(h0, dirs.shape), h0 + epsilon * dirs], axis=1)
-        increments = (np.broadcast_to(dw, (n, 2, trials, hidden)).reshape(-1, hidden)
-                      for dw in draws)
         integrate(Tensor(start.reshape(-1, hidden)), coupled_drift, None, cfg,
                   increments, observe)
     l_f = estimate_lipschitz(model)

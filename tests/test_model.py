@@ -200,9 +200,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_equals_serial_reference(self, scheme):
-        # each sample integrates BrownianPath(seed_i), one after another; at
-        # steps = 1 the helper draws the next sample's only step while the
-        # current one integrates
+        # each sample integrates the array of BrownianPath(seed_i)'s steps,
+        # one after another on this thread
         g = make_graph()
         seeds = np.random.SeedSequence(11).generate_state(5)
         for steps in (5, 1):  # sqrt(dt) is inexact at 5
@@ -213,7 +212,7 @@ class TestPredict:
                 h0, drift = m.encode(g), m.posterior_drift_fn(g)
                 for s in seeds:
                     path = BrownianPath(s, cfg.steps, g.n, m.hidden, cfg.t0, cfg.t1)
-                    h, _ = integrate(h0, drift, None, cfg, path)
+                    h, _ = integrate(h0, drift, None, cfg, np.stack(list(path)))
                     ref.append(ad.softmax_rows(m.decode(h)).data)
             ref = np.stack(ref)
             mean, samples = m.predict(g, mc_samples=5, master_seed=11, return_samples=True)

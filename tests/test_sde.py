@@ -1,5 +1,5 @@
-import itertools
 import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -7,9 +7,10 @@ import pytest
 
 import lgnsde.autodiff as ad
 from lgnsde.autodiff import Tensor, backward
-from lgnsde.sde import (BrownianPath, DivergedError, SDEConfig, drawn_ahead,
+from lgnsde.sde import (BrownianPath, DivergedError, SDEConfig, _drawn_ahead,
                         em_step, integrate, srk_step)
 from lgnsde.verify import chi2_ppf
+from tests.test_model import make_graph, small_model
 
 
 def const_drift(value):
@@ -59,65 +60,67 @@ class TestBrownianPath:
         assert abs(samples.var() - dt) < 3 * se
 
 
+def started_threads(monkeypatch):
+    """A list that records every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
 class TestDrawnAhead:
-    SEEDS, SHAPE, DT = (3, 8, 21), (5, 2), 0.3
+    SHAPE, T1 = (5, 2), 1.3
 
-    def rngs(self, steps, seeds=SEEDS):
-        """One generator per seed, each repeated for its `steps` draws, as
-        predict streams them."""
-        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        return gens, itertools.chain.from_iterable(
-            itertools.repeat(g, steps) for g in gens)
+    def path(self, steps):
+        return BrownianPath(8, steps, *self.SHAPE, t1=self.T1)
 
-    def check_stream(self, steps, seeds):
-        gens, rngs = self.rngs(steps, seeds)
-        with drawn_ahead(rngs, self.SHAPE, self.DT) as stream:
-            drawn = [dw.copy() for dw in stream]
-        refs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        want = [r.standard_normal(self.SHAPE) * np.sqrt(self.DT)
-                for r in refs for _ in range(steps)]
-        assert len(drawn) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
-        assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
-
-    # steps per sample: shorter than, as long as and longer than the pair
+    # shorter than, as long as and longer than the pair of buffers
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 13])
     def test_stream_equals_sequential_draws(self, steps):
-        self.check_stream(steps, self.SEEDS)
+        path = self.path(steps)
+        with _drawn_ahead(path) as stream:
+            drawn = [dw.copy() for dw in stream]
+        want = list(path)
+        assert len(drawn) == len(want) == steps
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
 
-    @pytest.mark.parametrize("seeds", [(), (8,)], ids=["none", "one"])
-    def test_stream_of_one_rng_or_none_equals_sequential_draws(self, seeds):
-        self.check_stream(1, seeds)
-
-    # two buffers, one held by the caller: exactly one rng is taken ahead
+    # two buffers, one held by the caller: each draw takes the path's
+    # generator once, and at most one draw is taken ahead of the caller
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 13])
     def test_rngs_are_taken_at_most_buffers_minus_one_ahead(self, steps):
-        _, rngs = self.rngs(steps)
+        path = self.path(steps)
+        draw = path.draw
         taken = []
 
-        def counted():
-            for rng in rngs:
-                taken.append(threading.current_thread())
-                yield rng
+        def counted(rng, out=None):
+            taken.append(threading.current_thread())
+            return draw(rng, out)
 
-        total = len(self.SEEDS) * steps
-        with drawn_ahead(counted(), self.SHAPE, self.DT) as stream:
-            assert len(taken) == 1
+        path.draw = counted
+        with _drawn_ahead(path) as stream:
             for received, _ in enumerate(stream, 1):
-                assert len(taken) == min(received + 1, total)
-        # the caller's thread takes every rng
-        assert set(taken) == {threading.current_thread()}
+                time.sleep(1e-3)  # time for the helper to take what is queued
+                assert len(taken) <= min(received + 1, steps)
+        assert len(taken) == steps
+        # the caller draws step 0, the helper every later step
+        assert taken[0] is threading.current_thread()
+        assert threading.current_thread() not in taken[1:]
 
     @pytest.mark.parametrize("steps", [2, 4])
-    def test_no_thread_outlives_a_raising_consumer(self, steps):
-        _, rngs = self.rngs(steps)
-        before = threading.active_count()
+    def test_no_thread_outlives_a_raising_consumer(self, steps, monkeypatch):
+        started = started_threads(monkeypatch)
         with pytest.raises(RuntimeError, match="consumer failed"):
-            with drawn_ahead(rngs, self.SHAPE, self.DT) as stream:
+            with _drawn_ahead(self.path(steps)) as stream:
                 for received, _ in enumerate(stream, 1):
                     if received == 2:
                         raise RuntimeError("consumer failed")
-        assert threading.active_count() == before
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
 
 class TestEMStep:
@@ -422,6 +425,31 @@ class TestIntegrate:
             assert sorted(seen) == sorted(runs[0][3]) == list(range(1, 7))
             for j in seen:
                 assert np.array_equal(seen[j], runs[0][3][j])
+
+    @pytest.mark.parametrize("scheme", ["em", "srk"])
+    def test_path_drawn_ahead_equals_the_array_form(self, scheme, monkeypatch):
+        # with the tape off integrate draws a path on one helper thread,
+        # joined before it returns, to the bits of the path's array
+        cfg, path, h0 = self._setup(steps=6, scheme=scheme)
+        drift = lambda h, t: ad.tanh(h) * (0.5 - t)
+        with ad.no_grad():
+            want, _ = integrate(h0, drift, None, cfg, np.stack(list(path)))
+            started = started_threads(monkeypatch)
+            h1, _ = integrate(h0, drift, None, cfg, path)
+        assert np.array_equal(h1.data, want.data)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
+    def test_taped_training_loss_starts_no_thread(self, monkeypatch):
+        # on the tape each step draws its increment inside its checkpoint,
+        # on the caller's thread, forward and backward alike
+        graph = make_graph()
+        m = small_model(graph, dropout=0.2)
+        path = BrownianPath(3, 4, graph.n, m.hidden)
+        started = started_threads(monkeypatch)
+        backward(m.training_loss(graph, path, np.random.Generator(np.random.PCG64(0))))
+        assert started == []
+        assert m.W1.grad is not None
 
     @pytest.mark.parametrize("steps, message", [
         (3, "increments hold 3 steps, the config wants 4"),

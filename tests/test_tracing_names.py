@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps lgnsde functions by
 name. Deleting or renaming one of them must fail this suite, not only the
 benchmark run. The tracer keeps one span stack and assumes one thread, so
-the helper thread on which predict draws Brownian noise must call nothing
-it wraps."""
+the helper thread on which ``sde.integrate`` draws a Brownian path ahead
+(for predict and lemma 1) must call nothing it wraps: it calls only
+``BrownianPath.draw``, which the tracer leaves alone."""
 
 import importlib.util
 import json
@@ -93,9 +94,10 @@ def test_tracer_installs_records_and_restores(tmp_path):
 def test_spans_nest_while_noise_is_drawn_ahead():
     # a span recorded from a second thread would overlap a sibling or stick
     # out of its parent; a short switch interval makes threads interleave.
-    # predict draws its paths ahead; lemmas 1 and 2 draw their steps ahead
-    # and run the same solver and drift on one batch, so their spans must
-    # nest under verify.lemma1 and verify.lemma2
+    # integrate draws the paths of predict and lemma 1 ahead; lemma 2 draws
+    # its steps on its own thread. Both lemmas run the same solver and drift
+    # on one batch, so their spans must nest under verify.lemma1 and
+    # verify.lemma2
     graph = graphdata.make_splits(graphdata.sbm_generate(3, 4, 0.3, 0.03, 4, 2.0, seed=0),
                                   graphdata.SplitSpec(seed=0, train_frac=0.4, val_frac=0.3))
     m = model.LGNSDEModel(graph.d_in, graph.num_classes, hidden=4, steps=3, seed=0)

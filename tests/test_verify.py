@@ -16,8 +16,9 @@ from tests.test_model import make_graph, small_model
 
 
 def assert_no_thread_outlives_a_raising_drift(check):
-    """`check` on a drift that raises in step 2 re-raises it and joins its
-    noise helper thread."""
+    """`check` on a drift that raises in step 2 re-raises it and leaves no
+    thread behind: ``integrate`` joins lemma 1's noise helper, and lemma 2
+    draws its noise on the caller's thread."""
     g = make_graph()
     m = small_model(g, hidden=2)
     drift_fn = m.posterior_drift_fn
