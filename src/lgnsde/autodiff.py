@@ -397,11 +397,12 @@ def checkpoint(fn, inputs, rng=None):
 class SparseMatrix:
     """Constant (never trained) sparse matrix in CSR form.
 
-    ``_csr`` and ``_csr_t`` hold the (indptr, indices, data) arrays of the
-    matrix and of its transpose, in scipy's canonical order (rows ascending,
-    columns ascending within a row, int32 indices when they fit), so that
-    scipy's kernel sums every product in scipy's order. Duplicate (row, col)
-    entries are rejected because a silent sum would hide loader bugs.
+    ``_csr`` holds the (indptr, indices, data) arrays of the matrix in
+    scipy's canonical order (rows ascending, columns ascending within a
+    row, int32 indices when they fit), so that scipy's kernels sum every
+    product in scipy's order. The same arrays are the CSC arrays of the
+    transpose, so no transpose is stored. Duplicate (row, col) entries are
+    rejected because a silent sum would hide loader bugs.
     """
 
     def __init__(self, rows, cols, vals, shape):
@@ -410,15 +411,11 @@ class SparseMatrix:
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols, vals must have identical lengths")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]:
-                raise ValueError("sparse index out of range")
-            keys = rows * shape[1] + cols
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate (row, col) entries in sparse matrix")
+        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
+                          or cols.min() < 0 or cols.max() >= shape[1]):
+            raise ValueError("sparse index out of range")
         self.shape = (int(shape[0]), int(shape[1]))
         self._csr = _csr_arrays(rows, cols, vals, self.shape)
-        self._csr_t = _csr_arrays(cols, rows, vals, self.shape[::-1])
 
     @property
     def nnz(self):
@@ -432,14 +429,18 @@ class SparseMatrix:
 
 
 def _csr_arrays(rows, cols, vals, shape):
-    """(indptr, indices, data) of the m x n matrix with the given distinct
-    entries, as ``scipy.sparse.csr_matrix((vals, (rows, cols)))`` lays them
-    out."""
+    """(indptr, indices, data) of the m x n matrix with the given entries,
+    as ``scipy.sparse.csr_matrix((vals, (rows, cols)))`` lays them out.
+    Sorting puts equal (row, col) pairs next to each other, so a duplicate
+    is found in the sorted order."""
     index = np.int32 if max(*shape, rows.size) <= np.iinfo(np.int32).max else np.int64
     order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValueError("duplicate (row, col) entries in sparse matrix")
     indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return indptr, cols[order].astype(index), vals[order]
+    return indptr, cols.astype(index), vals[order]
 
 
 _SPARSETOOLS = "scipy.sparse._sparsetools"
@@ -461,27 +462,28 @@ def _load_extension(name, folder):
 
 
 @functools.cache
-def _csr_matvecs():
-    """scipy's compiled CSR times dense-columns loop, the one that
-    ``csr_matrix @ array`` calls. It is loaded from its extension file:
-    scipy/sparse/__init__.py would import scipy._lib._array_api and with
-    it numpy.f2py, numpy.testing and unittest, about 20 MB of every
+def _sparsetools():
+    """scipy's compiled sparse loops: ``csr_matvecs``, the one that
+    ``csr_matrix @ array`` calls, and ``csc_matvecs``, the one that
+    ``csc_matrix @ array`` calls. The module is loaded from its extension
+    file: scipy/sparse/__init__.py would import scipy._lib._array_api and
+    with it numpy.f2py, numpy.testing and unittest, about 20 MB of every
     process."""
     module = sys.modules.get(_SPARSETOOLS)
     if module is None:
         scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
         module = _load_extension(_SPARSETOOLS, os.path.join(scipy, "sparse"))
-    return module.csr_matvecs
+    return module
 
 
-def _csr_matmul(csr, shape, x):
-    """The CSR matrix (arrays `csr`, shape (m, n)) times x read row-major
-    as an (n, k) array: the (m, k) product, flattened, summed as scipy
+def _sparse_matmul(kernel, arrays, shape, x):
+    """The sparse (m, n) matrix times x, an (n*B, d) array read row-major
+    as (n, B*d): the product as an (m*B, d) array, summed by `kernel` (a
+    ``_sparsetools`` loop that reads `arrays` in its own layout) as scipy
     sums it."""
     m, n = shape
-    k = x.size // n
-    out = np.zeros(m * k)
-    _csr_matvecs()(m, n, k, *csr, x.ravel(), out)
+    out = np.zeros((m * x.shape[0] // n, x.shape[1]))
+    kernel(m, n, x.size // n, *arrays, x.ravel(), out.ravel())
     return out
 
 
@@ -492,14 +494,19 @@ def spmm(adj, h):
     row i*B + b is node i of state b. Its (n, B*d) view carries the batch
     in the columns, so one sparse product serves every state. The drift's
     other ops act row by row and need no batch handling of their own.
+
+    The forward runs ``csr_matvecs`` on A's CSR arrays and the backward
+    ``csc_matvecs`` on the same arrays, which are A^T's CSC arrays. Both
+    loops add into each output row in ascending column order, so the
+    product and the gradient are bitwise those of ``csr_matrix @``.
     """
     n = adj.shape[1]
     if h.data.ndim != 2 or h.data.shape[0] == 0 or h.data.shape[0] % n:
         raise ValueError(f"spmm shape mismatch: {adj.shape} x {h.data.shape}")
-    d = h.data.shape[1]
-    out_data = _csr_matmul(adj._csr, adj.shape, h.data).reshape(-1, d)
-    csr_t, shape_t = adj._csr_t, adj.shape[::-1]
-    return _make(out_data, (h,), lambda g: (_csr_matmul(csr_t, shape_t, g).reshape(-1, d),))
+    tools = _sparsetools()
+    out_data = _sparse_matmul(tools.csr_matvecs, adj._csr, adj.shape, h.data)
+    return _make(out_data, (h,), lambda g: (
+        _sparse_matmul(tools.csc_matvecs, adj._csr, adj.shape[::-1], g),))
 
 
 # ------------------------------------------------------------------- adam

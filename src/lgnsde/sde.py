@@ -171,7 +171,9 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     step at a time: a (steps, n, d) array or a stream. Step j is done
     with its array before the next is requested, so with the tape off a
     stream may reuse its buffers. Too few or too many steps, or a step of
-    the wrong shape, is a ValueError.
+    the wrong shape, is a ValueError. A path is checked before step 0: its
+    steps, its shape and its scale, which must equal sqrt(config.dt), so a
+    path on another time grid is a ValueError before the solve starts.
 
     A path given here is drawn here: with the tape off by
     ``_drawn_ahead``, each step after the first on a helper thread one
@@ -211,14 +213,16 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     dt = config.dt
     g = config.g
     path = increments if isinstance(increments, BrownianPath) else None
+    if path and (path.steps, path.shape, path.scale) != (config.steps, shape, np.sqrt(dt)):
+        raise ValueError(f"the path has {path.steps} steps of {path.shape} at scale {path.scale}, "
+                         f"the config wants {config.steps} of {shape} at scale {np.sqrt(dt)}")
     rngs = rng
     if path is None:
         stream = nullcontext(iter(increments))
     elif ad._grad_enabled.get():
         noise = np.random.Generator(np.random.PCG64(path.seed))
         rngs = noise if rng is None else (rng, noise)
-        # the path stands in for each of its steps, so they are counted
-        # and shaped as an iterable's arrays are
+        # the path, checked above, stands in for each of its steps
         stream = nullcontext(itertools.repeat(path, path.steps))
     else:
         stream = _drawn_ahead(path)

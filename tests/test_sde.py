@@ -18,6 +18,49 @@ def const_drift(value):
         else Tensor(np.full(h.data.shape, value))
 
 
+def one_step_law(scheme, a_dt):
+    """(c, s) of a step under the linear drift F = -a H: every step is
+    H' = c H + s g dW, EM with c = 1 - a dt and s = 1, SRK with
+    c = 1 - a dt + (a dt)^2 / 2 and s = 1 - a dt / 2."""
+    if scheme == "em":
+        return 1 - a_dt, 1.0
+    return 1 - a_dt + a_dt ** 2 / 2, 1 - a_dt / 2
+
+
+def ou_law(scheme, steps):
+    """The exact (mean, variance) of the scheme's H(1) on dH = -H dt + dW
+    from H(0) = 1 in `steps` steps: H_N = c^N + s sqrt(dt) sum_k c^k z_k."""
+    dt = 1.0 / steps
+    c, s = one_step_law(scheme, dt)
+    return c ** steps, dt * s * s * sum(c ** (2 * k) for k in range(steps))
+
+
+def run_ou(scheme, steps, paths, seed):
+    """H(1) of `paths` independent solves of dH = -H dt + dW from H(0) = 1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dt = 1.0 / steps
+    drift = lambda h, t: -h
+    h = np.ones(paths)
+    for j in range(steps):
+        dw = rng.standard_normal(paths) * np.sqrt(dt)
+        if scheme == "em":
+            h = em_step(h, drift(h, 0), 1.0, dw, dt)
+        else:
+            h = srk_step(h, drift, 1.0, dw, dt, j * dt)
+    return h
+
+
+def assert_gaussian_law(h, mean, var, delta=1e-6):
+    """Samples h of N(mean, var): the sample mean lies in its exact
+    N(mean, var / n) band and the sample variance in its chi^2 band with
+    n - 1 degrees of freedom, each tail delta."""
+    n = h.size
+    z = np.sqrt(chi2_ppf(1 - 2 * delta, 1))  # the normal's 1 - delta quantile
+    assert abs(h.mean() - mean) <= z * np.sqrt(var / n)
+    stat = (n - 1) * h.var(ddof=1) / var
+    assert chi2_ppf(delta, n - 1) <= stat <= chi2_ppf(1 - delta, n - 1)
+
+
 class TestBrownianPath:
     def test_deterministic(self):
         a = BrownianPath(5, 4, 3, 2)
@@ -159,46 +202,26 @@ class TestSRKStep:
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.25)
 
     def test_ou_variance_and_beats_em(self):
-        # dH = -H dt + dW: Var(H(1)) = (1 - e^-2)/2
-        theta, g, L, n_paths = 1.0, 1.0, 20, 10_000
-        drift = lambda h, t: -theta * h
-        analytic_var = g * g * (1 - np.exp(-2 * theta)) / (2 * theta)
-
-        def run(scheme, L, seed):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            dt = 1.0 / L
-            h = np.ones(n_paths)
-            for j in range(L):
-                dw = rng.standard_normal(n_paths) * np.sqrt(dt)
-                if scheme == "em":
-                    h = em_step(h, drift(h, 0), g, dw, dt)
-                else:
-                    h = srk_step(h, drift, g, dw, dt, j * dt)
-            return h
-
-        h = run("srk", 100, 0)
-        se = analytic_var * np.sqrt(2.0 / (n_paths - 1))
-        assert abs(h.var(ddof=1) - analytic_var) < 3 * se
-        m_true = np.exp(-1.0)
-        em_err = abs(run("em", 20, 1).mean() - m_true) + \
-            abs(run("em", 20, 1).var(ddof=1) - analytic_var)
-        srk_err = abs(run("srk", 20, 1).mean() - m_true) + \
-            abs(run("srk", 20, 1).var(ddof=1) - analytic_var)
-        assert srk_err <= em_err
+        # dH = -H dt + dW from H(0) = 1: Var(H(1)) = (1 - e^-2)/2. The
+        # scheme's exact law is within 1.4e-5 of it at L = 100 (-1.31e-5),
+        # and at L = 20 its mean-plus-variance error is 4.9e-4 against
+        # EM's 2.4e-2
+        m_true, v_true = np.exp(-1.0), (1 - np.exp(-2.0)) / 2
+        mean, var = ou_law("srk", 100)
+        assert abs(var - v_true) < 1.4e-5
+        em, srk = (sum(abs(x - y) for x, y in zip(ou_law(scheme, 20), (m_true, v_true)))
+                   for scheme in ("em", "srk"))
+        assert srk < 5e-4 and em > 2e-2
+        assert_gaussian_law(run_ou("srk", 100, 10_000, seed=0), mean, var)
 
     def test_em_weak_convergence_halves(self):
-        # mean error on the OU problem roughly halves when L doubles
-        theta, n_paths = 1.0, 400_000
-        errs = []
+        # EM's exact mean error on the OU problem falls by a factor of
+        # 0.489 when L doubles from 10 to 20: weak order one
+        m_true = np.exp(-1.0)
+        errs = [abs(ou_law("em", L)[0] - m_true) for L in (10, 20)]
+        assert 0.48 < errs[1] / errs[0] < 0.5
         for L in (10, 20):
-            rng = np.random.Generator(np.random.PCG64(2))
-            dt = 1.0 / L
-            h = np.ones(n_paths)
-            for j in range(L):
-                dw = rng.standard_normal(n_paths) * np.sqrt(dt)
-                h = em_step(h, -theta * h, 1.0, dw, dt)
-            errs.append(abs(h.mean() - np.exp(-1.0)))
-        assert 0.35 <= errs[1] / errs[0] <= 0.65
+            assert_gaussian_law(run_ou("em", L, 400_000, seed=2), *ou_law("em", L))
 
 
 class TestIntegrate:
@@ -300,18 +323,15 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("scheme", ["em", "srk"])
     def test_linear_drift_final_state_is_exactly_chi2(self, scheme):
-        # F = -a H from H(0) = 0 makes every step H' = c H + s g dW, EM with
-        # c = 1 - a dt and s = 1, SRK with c = 1 - a dt + (a dt)^2 / 2 and
-        # s = 1 - a dt / 2. So H(t1) is Gaussian with per-coordinate
+        # F = -a H from H(0) = 0 makes every step H' = c H + s g dW (see
+        # one_step_law). So H(t1) is Gaussian with per-coordinate
         # variance g^2 dt s^2 sum_{k<N} c^(2k), and ||H(t1)||^2 over that
         # variance is chi^2 with one degree of freedom per coordinate. The
         # prior -b H does not move the state
         a, b, g, steps, paths = 1.5, 0.5, 0.8, 16, 20_000
         cfg = SDEConfig(t1=1.0, steps=steps, g=g, scheme=scheme)
         dt = cfg.dt
-        ad_t = a * dt
-        c, s = (1 - ad_t, 1.0) if scheme == "em" else (1 - ad_t + ad_t ** 2 / 2,
-                                                        1 - ad_t / 2)
+        c, s = one_step_law(scheme, a * dt)
         var = g * g * dt * s * s * sum(c ** (2 * k) for k in range(steps))
         with ad.no_grad():
             h, kl = integrate(Tensor(np.zeros((paths, 1))), lambda x, t: x * -a,
@@ -474,6 +494,26 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="steps"):
             integrate(Tensor(np.ones((1, 1))), const_drift(0.0),
                       const_drift(0.0), cfg, path)
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+    @pytest.mark.parametrize("path, message", [
+        # dt = 25 against the solve's 0.25: noise 10x too large
+        (BrownianPath(0, 4, 3, 2, t1=100.0), r"4 steps of \(3, 2\) at scale 5\.0, .* "
+                                             r"4 of \(3, 2\) at scale 0\.5$"),
+        (BrownianPath(0, 8, 3, 2, t1=2.0), r"8 steps of \(3, 2\) at scale 0\.5, .* 4 of"),
+        (BrownianPath(0, 4, 2, 3), r"4 steps of \(2, 3\) at scale 0\.5, .* 4 of \(3, 2\)"),
+    ], ids=["other-dt", "too-long", "other-shape"])
+    def test_path_on_another_grid_is_rejected_before_step_0(self, path, message, taped):
+        calls = []
+
+        def drift(h, t):
+            calls.append(t)
+            return h * 0.0
+
+        h0 = Tensor(np.ones((3, 2)), requires_grad=taped)
+        with ad._recording(taped), pytest.raises(ValueError, match=f"^the path has {message}"):
+            integrate(h0, drift, None, SDEConfig(t1=1.0, steps=4), path)
+        assert calls == []
 
 
 class TestSDEConfig:
