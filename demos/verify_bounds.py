@@ -52,6 +52,7 @@ for row in out2["grid"][::2]:
 print("overall:", "PASS" if out2["pass"] else "FAIL")
 
 print("\n== EM solve == explicit residual network ==")
-path = BrownianPath(seed, 16, graph.n, 3)
+cfg = model.sde_config
+path = BrownianPath(seed, cfg.steps, graph.n, model.hidden, t1=cfg.t1)
 dev = resnet_equivalence(model, graph, path)
-print(f"max abs deviation over 16 layers: {dev:.2e}")
+print(f"max abs deviation over {cfg.steps} layers: {dev:.2e}")

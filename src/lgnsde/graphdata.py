@@ -268,8 +268,8 @@ def sbm_generate(classes, nodes_per_class, p_in, p_out, feature_dim,
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError("need 0 <= p_out <= p_in <= 1")
-    if feature_gap < 0:
-        raise ValueError("feature_gap must be >= 0")
+    if not 0 <= feature_gap < np.inf:
+        raise ValueError(f"feature_gap must be finite and >= 0, got {feature_gap}")
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.repeat(np.arange(classes), nodes_per_class)
     means = np.zeros((classes, feature_dim))

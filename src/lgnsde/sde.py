@@ -9,7 +9,7 @@ solver step is one ``autodiff.checkpoint`` node, recomputed in backward.
 import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,8 @@ class SDEConfig:
             raise ValueError(f"steps must be <= 2**53, got {self.steps}")
         if self.g <= 0:
             raise ValueError("diffusion constant g must be > 0")
+        if not np.isfinite(1.0 / float(self.g)):  # the KL scales by it, and inf raises no flag
+            raise ValueError(f"diffusion constant g must have a finite reciprocal, got {self.g}")
         if self.scheme not in ("em", "srk"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -89,10 +91,9 @@ class BrownianPath:
             yield self.draw(rng)
 
 
-@contextmanager
 def _drawn_ahead(path):
-    """Iterate over the steps of `path`, bitwise ``list(path)``, each drawn
-    while the caller works on the one before it.
+    """Yield the steps of `path`, bitwise ``list(path)``, each drawn while
+    the caller works on the one before it.
 
     The caller's thread draws step 0 when it asks for it (so it never
     waits for a new thread's first draw), and one helper thread each later
@@ -104,9 +105,10 @@ def _drawn_ahead(path):
     once step j + 1 is requested. The helper touches no Tensor, and
     ``draw`` is the one lgnsde function it calls. numpy keeps
     ``np.errstate`` per thread context, so the helper runs under the
-    caller's settings, copied on entry; an error raised there is raised by
-    the iterator. When the ``with`` block ends, also in an exception, the
-    queued draw is cancelled and the thread is joined.
+    caller's settings, copied at the first request; an error raised there
+    is raised by the generator. Open it under ``contextlib.closing``: when
+    the generator is exhausted or closed, also in an exception, the queued
+    draw is cancelled and the thread is joined.
     """
     rng = np.random.Generator(np.random.PCG64(path.seed))
     err = np.geterr()
@@ -115,22 +117,18 @@ def _drawn_ahead(path):
         with np.errstate(**err):
             return path.draw(rng, out)
 
+    # both buffers in one block: a large one is mapped and unmapped whole,
+    # so it leaves no hole in the heap (two blocks, or one per draw, raised
+    # the peak RSS of some benchmark runs by 2-8%)
+    pair = itertools.cycle(np.empty((2, *path.shape)))
+    dw = path.draw(rng, next(pair))
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        # both buffers in one block: a large one is mapped and unmapped
-        # whole, so it leaves no hole in the heap (two blocks, or one per
-        # draw, raised the peak RSS of some benchmark runs by 2-8%)
-        pair = itertools.cycle(np.empty((2, *path.shape)))
-
-        def draws():
-            dw = path.draw(rng, next(pair))
-            for _ in range(path.steps - 1):
-                pending = helper.submit(fill, next(pair))
-                yield dw
-                dw = pending.result()
+        for _ in range(path.steps - 1):
+            pending = helper.submit(fill, next(pair))
             yield dw
-
-        yield draws()
+            dw = pending.result()
+        yield dw
     finally:
         helper.shutdown(cancel_futures=True)
 
@@ -175,10 +173,11 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
     steps, its shape and its scale, which must equal sqrt(config.dt), so a
     path on another time grid is a ValueError before the solve starts.
 
-    A path given here is drawn here: with the tape off by
-    ``_drawn_ahead``, each step after the first on a helper thread one
-    step ahead of the solver, joined before ``integrate`` returns or
-    raises; with the tape on inside each step's checkpoint (see below).
+    A path given here is drawn here: with the tape off by the
+    ``_drawn_ahead`` generator, each step after the first on a helper
+    thread one step ahead of the solver; ``integrate`` closes the
+    generator, which joins the helper, before it returns or raises. With
+    the tape on, each step draws inside its checkpoint (see below).
 
     KL uses left-endpoint quadrature of 0.5 * ||(F_post - F_prior) / g||_F^2,
     on the same grid as the solver, and stays differentiable w.r.t. the
@@ -225,14 +224,7 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
         # the path, checked above, stands in for each of its steps
         stream = nullcontext(itertools.repeat(path, path.steps))
     else:
-        stream = _drawn_ahead(path)
-
-    # while the loop runs, each step's first drift is held until the next
-    # step makes its own. Freed at the step's end, it lets glibc trim the
-    # top of the heap and fault it back in every step: 15.6k against 6.3k
-    # minor faults per 20-path predict on the Cora stand-in, 37.4k against
-    # 26.6k in lemma 1's solve
-    held = [None]
+        stream = closing(_drawn_ahead(path))
 
     def step(t, h, dw=None):
         """(H_{j+1}, KL_j) of the step from `h` at time t; H_{j+1} alone
@@ -240,8 +232,6 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
         dw = path.draw(noise) if dw is None else dw.data
         prior = None if prior_drift is None else prior_drift(h, t)
         f = posterior_drift(h, t)
-        if held:
-            held[0] = f
         if prior is not None:
             # the KL ops come before the update's: f's gradient is summed
             # over its consumers in their order, and trained bits depend on it
@@ -281,7 +271,6 @@ def integrate(h0, posterior_drift, prior_drift, config, increments, observe=None
                     raise _diverged(j, (j + 1) * dt, h,
                                     f"step {j} ended with a finite state",
                                     f", but reducing that state failed: {e}") from e
-        held.clear()  # backward's recomputes hold nothing
         if next(steps, None) is not None:
             raise ValueError(f"increments hold more than {config.steps} steps, "
                              f"the config wants {config.steps}")

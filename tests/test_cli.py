@@ -234,8 +234,10 @@ class TestExitCodes:
         ("train", "val_mc = 0\n", "val_mc must be >= 1"),
         ("train", "epochs = -1\n", "epochs must be >= 0"),
         ("train", "sbm_feature_dim = 0\n", "feature_dim must be >= 1"),
+        ("train", "sbm_feature_gap = nan\n", "feature_gap must be finite and >= 0, got nan"),
         ("train", "t1 = nan\n", "must be finite"),
         ("train", "g = inf\n", "must be finite"),
+        ("train", "g = 1e-320\n", "g must have a finite reciprocal, got 1e-320"),
         ("train", "patience = -1\n", "patience must be >= 0"),
         ("train", "sbm_classes = 1\n", "classes must be >= 2"),
         ("train", "sbm_nodes_per_class = 100000000000000000000000\n",

@@ -205,6 +205,13 @@ class TestSBM:
         with pytest.raises(ValueError):
             sbm_generate(2, 5, 0.1, 0.5, 2, 1.0, seed=0)
 
+    # nan and inf once passed the sign check and were blamed on node 0's
+    # feature, three calls later
+    @pytest.mark.parametrize("gap", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_gap_is_rejected(self, gap):
+        with pytest.raises(ValueError, match=f"^feature_gap must be finite and >= 0, got {gap}$"):
+            sbm_generate(2, 3, 0.5, 0.1, 2, gap, seed=0)
+
     def test_zero_gap_means_statistically_identical(self):
         # two-sample t-test at alpha=0.01 should reject ~1% of the time
         rejections = 0

@@ -1,5 +1,6 @@
 import threading
 import time
+from contextlib import closing
 from dataclasses import fields
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestDrawnAhead:
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 13])
     def test_stream_equals_sequential_draws(self, steps):
         path = self.path(steps)
-        with _drawn_ahead(path) as stream:
+        with closing(_drawn_ahead(path)) as stream:
             drawn = [dw.copy() for dw in stream]
         want = list(path)
         assert len(drawn) == len(want) == steps
@@ -145,7 +146,7 @@ class TestDrawnAhead:
             return draw(rng, out)
 
         path.draw = counted
-        with _drawn_ahead(path) as stream:
+        with closing(_drawn_ahead(path)) as stream:
             for received, _ in enumerate(stream, 1):
                 time.sleep(1e-3)  # time for the helper to take what is queued
                 assert len(taken) <= min(received + 1, steps)
@@ -158,7 +159,7 @@ class TestDrawnAhead:
     def test_no_thread_outlives_a_raising_consumer(self, steps, monkeypatch):
         started = started_threads(monkeypatch)
         with pytest.raises(RuntimeError, match="consumer failed"):
-            with _drawn_ahead(self.path(steps)) as stream:
+            with closing(_drawn_ahead(self.path(steps))) as stream:
                 for received, _ in enumerate(stream, 1):
                     if received == 2:
                         raise RuntimeError("consumer failed")
@@ -213,6 +214,10 @@ class TestSRKStep:
                    for scheme in ("em", "srk"))
         assert srk < 5e-4 and em > 2e-2
         assert_gaussian_law(run_ou("srk", 100, 10_000, seed=0), mean, var)
+        # at L = 10, s^2 = 0.9025: a step that drops the noise from K2's
+        # argument (s = 1) raises the variance by 11%, past the +-6.7% band
+        # of 10,000 samples; at L = 100 it moves the variance by 1%
+        assert_gaussian_law(run_ou("srk", 10, 10_000, seed=0), *ou_law("srk", 10))
 
     def test_em_weak_convergence_halves(self):
         # EM's exact mean error on the OU problem falls by a factor of
@@ -517,11 +522,17 @@ class TestIntegrate:
 
 
 class TestSDEConfig:
+    # g = 1e-320 passed, and its reciprocal, inf in Python, scales with no
+    # numpy flag: the KL was infinite while every state stayed finite
     @pytest.mark.parametrize("kwargs", [dict(t1=0.0), dict(steps=0),
-                                        dict(g=0.0), dict(scheme="milstein")])
+                                        dict(g=0.0), dict(g=1e-320), dict(g=5e-324),
+                                        dict(scheme="milstein")])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SDEConfig(**kwargs)
+
+    def test_tiny_g_with_a_finite_reciprocal_is_accepted(self):
+        assert SDEConfig(g=1e-308).g == 1e-308
 
     def test_t0_is_a_constant_not_a_field(self):
         with pytest.raises(TypeError, match="t0"):
